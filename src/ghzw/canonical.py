@@ -207,7 +207,7 @@ def _phase_fix(d: np.ndarray):
     return fixed, float(alpha), (d_a, d_b, d_c)
 
 
-def _build_candidate(psi: np.ndarray, t: float, p: float, branch: int):
+def _build_candidate(psi: np.ndarray, t: float, p: float, branch: int) -> CanonicalResult | None:
     u_a, t0, t1 = _blocks(psi, t, p)
     left, sing, right_h = np.linalg.svd(t1)
     q = right_h.conj().T
@@ -215,33 +215,31 @@ def _build_candidate(psi: np.ndarray, t: float, p: float, branch: int):
     u_b = left[:, order].conj().T
     u_c = q[:, order].T
     d = np.einsum("by,cz,ayz->abc", u_b, u_c, np.stack([t0, t1]))
+    return _candidate_result(psi, d, u_a, u_b, u_c)
+
+
+def _candidate_result(psi: np.ndarray, d: np.ndarray, u_a, u_b, u_c) -> CanonicalResult | None:
+    """Phase-fix d = (u_a x u_b x u_c) psi and read off a certified candidate.
+
+    None when alpha falls outside [0, pi] or the reconstruction residual
+    exceeds RESIDUAL_TOL.
+    """
     fixed, alpha, (d_a, d_b, d_c) = _phase_fix(d)
-    lams = np.array(
-        [
-            abs(fixed[0, 0, 0]),
-            abs(fixed[0, 0, 1]),
-            abs(fixed[0, 1, 0]),
-            abs(fixed[1, 0, 0]),
-            abs(fixed[1, 1, 1]),
-        ]
-    )
-    if lams[1] <= _AMP_EPS:
-        alpha = 0.0
-    alpha = float(np.mod(alpha, 2.0 * np.pi))
+    amps = fixed.reshape(8)[list(states.ACIN_SUPPORT)]
+    lams = np.hypot(amps.real, amps.imag)  # rounds as scalar abs(); np.abs may not
+    alpha = 0.0 if lams[1] <= _AMP_EPS else float(np.mod(alpha, 2.0 * np.pi))
     if alpha > 2.0 * np.pi - _ALPHA_SLACK:
         alpha = 0.0
+    if alpha > np.pi + _ALPHA_SLACK:
+        return None
     unitaries = LocalUnitaries(d_a @ u_a, d_b @ u_b, d_c @ u_c)
-    return lams, alpha, unitaries
-
-
-def _candidate_result(psi: np.ndarray, lams, alpha, unitaries) -> CanonicalResult | None:
     norm = np.linalg.norm(lams)
     if norm == 0.0:
         return None
     lams = np.clip(lams / norm, 0.0, None)
     lams = lams / np.linalg.norm(lams)
     try:
-        params = states.AcinParams(*lams, alpha=alpha)
+        params = states.AcinParams(*lams, alpha=min(alpha, np.pi))
     except ValueError:
         return None
     residual = float(np.linalg.norm(unitaries.apply(psi) - states.make_acin(params)))
@@ -266,11 +264,10 @@ def _biseparable_candidates(psi: np.ndarray, product_slots) -> list:
     e = sqrt(s0*s1), and the solo qubit is rotated to |0>.
     """
     tens = psi.reshape(2, 2, 2)
-    proj = np.outer(psi, psi.conj())
     out = []
     for slot in product_slots:
-        reduced = qcore.partial_trace(proj, slot)
-        _, vecs = np.linalg.eigh(reduced)
+        m = qcore._solo_pair(psi, slot)
+        _, vecs = np.linalg.eigh(m @ m.conj().T)
         solo = vecs[:, -1]
         chi = np.tensordot(solo.conj(), tens, axes=(0, slot))
         left, sing, right_h = np.linalg.svd(chi)
@@ -284,24 +281,8 @@ def _biseparable_candidates(psi: np.ndarray, product_slots) -> list:
         units[slot] = _solo_unitary(solo)
         pair = [s for s in range(3) if s != slot]
         units[pair[0]], units[pair[1]] = w1, w2
-        u_a, u_b, u_c = units
-        d = np.einsum("ax,by,cz,xyz->abc", u_a, u_b, u_c, tens)
-        fixed, alpha, (d_a, d_b, d_c) = _phase_fix(d)
-        lams = np.array(
-            [
-                abs(fixed[0, 0, 0]),
-                abs(fixed[0, 0, 1]),
-                abs(fixed[0, 1, 0]),
-                abs(fixed[1, 0, 0]),
-                abs(fixed[1, 1, 1]),
-            ]
-        )
-        alpha = 0.0 if lams[1] <= _AMP_EPS else float(np.mod(alpha, 2.0 * np.pi))
-        if alpha > np.pi + _ALPHA_SLACK:
-            continue
-        built = _candidate_result(
-            psi, lams, min(alpha, np.pi), LocalUnitaries(d_a @ u_a, d_b @ u_b, d_c @ u_c)
-        )
+        d = np.einsum("ax,by,cz,xyz->abc", *units, tens)
+        built = _candidate_result(psi, d, *units)
         if built is not None:
             out.append(built)
     return out
@@ -331,12 +312,8 @@ def acin_decompose(psi, grid_t: int = 96, grid_p: int = 192) -> CanonicalResult:
     [0, pi], ties broken by larger l0 then smaller alpha.
     """
     psi = states.check_pure(psi)
-    proj = np.outer(psi, psi.conj())
-    product_slots = [
-        slot
-        for slot in range(3)
-        if qcore.hermitian_eigs(qcore.partial_trace(proj, slot))[0] <= _PRODUCT_EIG_TOL
-    ]
+    spectra = qcore._reduced_spectra(psi)
+    product_slots = [slot for slot in range(3) if spectra[slot, 1] <= _PRODUCT_EIG_TOL]
     if product_slots:
         special = _biseparable_candidates(psi, product_slots)
         if special:
@@ -371,12 +348,9 @@ def acin_decompose(psi, grid_t: int = 96, grid_p: int = 192) -> CanonicalResult:
             )
             if res.fun > 1e-20:
                 continue
-            lams, alpha, unitaries = _build_candidate(
+            built = _build_candidate(
                 psi, float(res.x[0]), float(np.mod(res.x[1], 2.0 * np.pi)), branch
             )
-            if alpha > np.pi + _ALPHA_SLACK:
-                continue
-            built = _candidate_result(psi, lams, min(alpha, np.pi), unitaries)
             if built is None:
                 continue
             if any(
@@ -402,7 +376,4 @@ def local_unitary_invariants(psi) -> tuple[np.ndarray, float]:
     C, each descending) and the three-tangle.
     """
     psi = states.check_pure(psi)
-    spectra = np.array(
-        [classify.bipartition_schmidt(psi, cut) for cut in ("A", "B", "C")]
-    )
-    return spectra, classify.three_tangle(psi)
+    return qcore._reduced_spectra(psi), classify._three_tangle(psi)

@@ -36,10 +36,8 @@ class EntanglementReport:
 
 def bipartition_schmidt(psi, cut) -> tuple[float, float]:
     """Squared Schmidt coefficients of the solo-vs-pair cut, descending."""
-    psi = states.check_pure(psi)
-    reduced = qcore.partial_trace(qcore.outer(psi), cut)
-    lo, hi = qcore.hermitian_eigs(reduced)
-    return float(np.clip(hi, 0.0, 1.0)), float(np.clip(lo, 0.0, 1.0))
+    hi, lo = qcore._reduced_spectra(states.check_pure(psi))[qcore.qubit_slot(cut)]
+    return float(hi), float(lo)
 
 
 def three_tangle(psi) -> float:
@@ -48,7 +46,11 @@ def three_tangle(psi) -> float:
     Hdet is Cayley's 2x2x2 hyperdeterminant; it vanishes on product and
     W-class states and reaches 1/4 on GHZ.
     """
-    c = states.check_pure(psi).reshape(2, 2, 2)
+    return _three_tangle(states.check_pure(psi))
+
+
+def _three_tangle(psi: np.ndarray) -> float:
+    c = psi.reshape(2, 2, 2)
     d1 = (
         c[0, 0, 0] ** 2 * c[1, 1, 1] ** 2
         + c[0, 0, 1] ** 2 * c[1, 1, 0] ** 2
@@ -80,13 +82,14 @@ def is_genuinely_entangled_pure(psi, tol: float = DEFAULT_BISEP_TOL) -> Entangle
     if tol <= 0:
         raise ValueError("tol must be positive")
     psi = states.check_pure(psi)
-    schmidt = {cut: bipartition_schmidt(psi, cut) for cut in CUTS}
+    spectra = qcore._reduced_spectra(psi)
+    schmidt = {cut: (float(hi), float(lo)) for cut, (hi, lo) in zip(CUTS, spectra)}
     bisep = [cut for cut in CUTS if schmidt[cut][1] <= tol]
     return EntanglementReport(
         schmidt_by_cut=schmidt,
         genuinely_entangled=not bisep,
         biseparable_cuts=bisep,
-        three_tangle=three_tangle(psi),
+        three_tangle=_three_tangle(psi),
     )
 
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import canonical, classify, criterion, scanner, states, witness
+from . import canonical, classify, criterion, qcore, scanner, states, witness
 
 
 class InputError(Exception):
@@ -72,8 +72,7 @@ def _load_rho(path: str) -> np.ndarray:
 def _emit(payload, args) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        states._atomic_write(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -102,14 +101,10 @@ def _cmd_scan_family(args) -> int:
         phase_phi=args.phi,
         phase_gamma=args.gamma,
         phase_beta=args.beta,
-        seed=args.seed,
         tol=args.tol,
     )
     rows = scanner.scan_superposition_family(cfg)
-    if args.output:
-        scanner.emit_table(rows, args.format, args.output)
-    else:
-        scanner.emit_table(rows, args.format, sys.stdout)
+    scanner.emit_table(rows, args.format, args.output or sys.stdout)
     return 0
 
 
@@ -150,13 +145,8 @@ def _cmd_ppt(args) -> int:
     if getattr(args, "rho", None):
         rho = _load_rho(args.rho)
     else:
-        from . import qcore
-
         rho = qcore.outer(_load_pure(args))
-    _emit(
-        {cut: classify.ppt_min_eigenvalue(rho, cut) for cut in ("A", "B", "C")},
-        args,
-    )
+    _emit({cut: classify.ppt_min_eigenvalue(rho, cut) for cut in classify.CUTS}, args)
     return 0
 
 
@@ -178,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=criterion.BOUNDARY_TOL)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_scan_family)
@@ -188,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-mixtures", type=int, default=500, dest="n_mixtures")
     p.add_argument("--n-components", type=int, default=4, dest="n_components")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=criterion.BOUNDARY_TOL)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_mixtures)
 

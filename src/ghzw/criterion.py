@@ -1,10 +1,10 @@
 """The GHZ/W detection criterion.
 
 Each witness family is minimized over its phase parameters; a state is
-"detected" when some member of a family reaches a strictly negative
-expectation.  Pure states admit closed-form minima; mixed states use a
-closed form for the GHZ family and a phase grid plus local refinement
-for the W family.
+"detected" when some member of a family reaches an expectation below
+-BOUNDARY_TOL (see :func:`detects`).  Pure states admit closed-form
+minima; mixed states use a closed form for the GHZ family and a phase
+grid plus local refinement for the W family.
 """
 
 from __future__ import annotations
@@ -16,13 +16,18 @@ from scipy import optimize
 
 from . import qcore, states
 
-#: detection uses strict negativity; |value| below this band is treated
-#: as a boundary case and not asserted either way in equivalence tests
+#: minima within this band of zero are boundary cases: not detected, and
+#: not asserted either way in equivalence tests
 BOUNDARY_TOL = 1e-12
 
 W_SECTOR = (1, 2, 4)  # basis indices |001>, |010>, |100>
 
 _GRID = 2048
+
+
+def detects(value: float, tol: float = BOUNDARY_TOL) -> bool:
+    """The detection rule: a witness-family minimum below -tol."""
+    return value < -tol
 
 
 @dataclass(frozen=True)
@@ -35,11 +40,11 @@ class CriterionVerdict:
 
     @property
     def detected_by_ghz(self) -> bool:
-        return self.ghz_min < 0.0
+        return detects(self.ghz_min)
 
     @property
     def detected_by_w(self) -> bool:
-        return self.w_min < 0.0
+        return detects(self.w_min)
 
     @property
     def detected(self) -> bool:
@@ -65,7 +70,10 @@ def min_ghz_expectation_pure(psi) -> tuple[float, float]:
     aligning the two terms, so the minimum expectation is
     1/2 - (|c0| + |c7|)^2 / 2 at phi = arg(c7) - arg(c0).
     """
-    psi = states.check_pure(psi)
+    return _ghz_min_pure(states.check_pure(psi))
+
+
+def _ghz_min_pure(psi: np.ndarray) -> tuple[float, float]:
     c0, c7 = psi[0], psi[7]
     value = 0.5 - (abs(c0) + abs(c7)) ** 2 / 2.0
     if abs(c0) < 1e-15 or abs(c7) < 1e-15:
@@ -81,7 +89,10 @@ def min_w_expectation_pure(psi) -> tuple[float, float, float]:
     The two phases independently align the three W-sector amplitudes,
     giving 2/3 - (|c1| + |c2| + |c4|)^2 / 3.
     """
-    psi = states.check_pure(psi)
+    return _w_min_pure(states.check_pure(psi))
+
+
+def _w_min_pure(psi: np.ndarray) -> tuple[float, float, float]:
     c1, c2, c4 = psi[1], psi[2], psi[4]
     value = 2.0 / 3.0 - (abs(c1) + abs(c2) + abs(c4)) ** 2 / 3.0
     ref = np.angle(c1) if abs(c1) > 1e-15 else 0.0
@@ -106,7 +117,10 @@ def min_ghz_expectation_mixed(rho) -> tuple[float, float]:
     <GHZ(phi)|rho|GHZ(phi)> = (rho_00 + rho_77 + 2 Re(e^{i phi} rho_07))/2
     peaks at phi = -arg(rho_07).
     """
-    rho = states.check_density_matrix(rho)
+    return _ghz_min(states.check_density_matrix(rho))
+
+
+def _ghz_min(rho: np.ndarray) -> tuple[float, float]:
     r07 = rho[0, 7]
     value = 0.5 - (rho[0, 0].real + rho[7, 7].real + 2.0 * abs(r07)) / 2.0
     phi = float(-np.angle(r07)) if abs(r07) > 1e-15 else 0.0
@@ -123,7 +137,10 @@ def min_w_expectation_mixed(rho) -> tuple[float, float, float]:
     so for fixed gamma the beta maximum is a modulus, leaving a smooth
     one-dimensional problem: gridded, then polished by bounded Brent.
     """
-    rho = states.check_density_matrix(rho)
+    return _w_min(states.check_density_matrix(rho))
+
+
+def _w_min(rho: np.ndarray) -> tuple[float, float, float]:
     m = rho[np.ix_(W_SECTOR, W_SECTOR)]
     s = m[0, 0].real + m[1, 1].real + m[2, 2].real
     m01, m02, m12 = m[0, 1], m[0, 2], m[1, 2]
@@ -160,15 +177,14 @@ def ghzw_criterion(rho) -> CriterionVerdict:
     eigvals, eigvecs = qcore.hermitian_eigs(rho, vectors=True)
     if eigvals[-1] > 1.0 - 1e-12:
         psi = eigvecs[:, -1]
-        psi = psi / np.linalg.norm(psi)
-        return ghzw_criterion_pure(psi)
-    g_min, phi = min_ghz_expectation_mixed(rho)
-    w_min, gamma, beta = min_w_expectation_mixed(rho)
-    return CriterionVerdict(g_min, phi, w_min, gamma, beta)
+        return _pure_verdict(psi / np.linalg.norm(psi))
+    return CriterionVerdict(*_ghz_min(rho), *_w_min(rho))
 
 
 def ghzw_criterion_pure(psi) -> CriterionVerdict:
     """Criterion verdict for a pure state via the closed forms."""
-    g_min, phi = min_ghz_expectation_pure(psi)
-    w_min, gamma, beta = min_w_expectation_pure(psi)
-    return CriterionVerdict(g_min, phi, w_min, gamma, beta)
+    return _pure_verdict(states.check_pure(psi))
+
+
+def _pure_verdict(psi: np.ndarray) -> CriterionVerdict:
+    return CriterionVerdict(*_ghz_min_pure(psi), *_w_min_pure(psi))

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,7 @@ class ScanConfig:
     phase_beta: float = 0.0
     rel_phase_ab: float = 0.0
     seed: int = 0
-    tol: float = 1e-12
+    tol: float = criterion.BOUNDARY_TOL
 
     def __post_init__(self):
         if self.grid_points < 2:
@@ -92,8 +91,8 @@ def scan_superposition_family(cfg: ScanConfig) -> list[ScanRow]:
         psi = family_state(float(a_sq), cfg)
         verdict = criterion.ghzw_criterion_pure(psi)
         report = classify.is_genuinely_entangled_pure(psi)
-        by_ghz = verdict.ghz_min < -cfg.tol
-        by_w = verdict.w_min < -cfg.tol
+        by_ghz = criterion.detects(verdict.ghz_min, cfg.tol)
+        by_w = criterion.detects(verdict.w_min, cfg.tol)
         rows.append(
             ScanRow(
                 a_sq=float(a_sq),
@@ -146,8 +145,9 @@ def sample_unwitnessed_mixtures(
             )
             components.append((float(weight), family_state(a_sq, sub)))
         rho = states.mix(components)
-        ghz_min, _ = criterion.min_ghz_expectation_mixed(rho)
-        w_min, _, _ = criterion.min_w_expectation_mixed(rho)
+        # mix() builds a valid density matrix from checked kets
+        ghz_min, _ = criterion._ghz_min(rho)
+        w_min, _, _ = criterion._w_min(rho)
         if min(ghz_min, w_min) < min(min_ghz, min_w):
             worst = idx
         min_ghz = min(min_ghz, ghz_min)
@@ -159,7 +159,9 @@ def sample_unwitnessed_mixtures(
         max_ghz_violation=float(max(0.0, -min_ghz)),
         min_w_min=float(min_w),
         max_w_violation=float(max(0.0, -min_w)),
-        all_unwitnessed=bool(min_ghz >= -cfg.tol and min_w >= -cfg.tol),
+        all_unwitnessed=not (
+            criterion.detects(min_ghz, cfg.tol) or criterion.detects(min_w, cfg.tol)
+        ),
         worst_mixture_index=worst,
     )
 
@@ -214,15 +216,6 @@ def emit_table(rows, format: str, destination) -> None:
         return
     path = os.fspath(destination)
     try:
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        states._atomic_write(path, text)
     except OSError as exc:
         raise OSError(f"failed writing table to {path}: {exc}") from exc

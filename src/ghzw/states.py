@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,8 +195,14 @@ def rho_from_dict(obj: dict) -> np.ndarray:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path through a sibling temp file and a rename.
+
+    The temp file is opened with mode 0o666, so the umask applies as it
+    would for open(path, "w"); mkstemp's 0o600 would leak into path.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

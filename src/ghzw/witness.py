@@ -15,11 +15,6 @@ import numpy as np
 
 from . import qcore, states
 
-CUTS = ("A", "B", "C")
-
-#: reshape orders putting the solo qubit's axis first
-_SOLO_AXES = {0: (0, 1, 2), 1: (1, 0, 2), 2: (2, 0, 1)}
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -68,18 +63,12 @@ def lambda_bound_analytic(psi) -> float:
     solo qubit's reduced state; the overall bound is the max over the
     three cuts.
     """
-    psi = states.check_pure(psi)
-    proj = qcore.outer(psi)
-    best = 0.0
-    for cut in CUTS:
-        reduced = qcore.partial_trace(proj, cut)
-        best = max(best, float(qcore.hermitian_eigs(reduced)[-1]))
-    return best
+    return float(qcore._reduced_spectra(states.check_pure(psi))[:, 0].max())
 
 
 def _ascend_cut(psi: np.ndarray, slot: int, rng: np.random.Generator, iters: int) -> float:
     """Alternating ascent of |<u (x) v|psi>|^2 over one solo-vs-pair cut."""
-    m = psi.reshape(2, 2, 2).transpose(_SOLO_AXES[slot]).reshape(2, 4)
+    m = qcore._solo_pair(psi, slot)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v /= np.linalg.norm(v)
     overlap = 0.0
