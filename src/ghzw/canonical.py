@@ -9,8 +9,9 @@ construction: pick a unitary on qubit A, diagonalize the resulting A=1
 block by the singular bases of B and C (this kills the |101> and |110>
 amplitudes), and demand that the transformed A=0 block vanish at the
 |011> slot.  That last demand is one complex equation on the CP^1 of
-A-unitaries; its roots are located on a dense grid and polished by a
-local search.  Remaining phases are absorbed into local Z rotations.
+A-unitaries; its roots are located on a dense grid and polished all at
+once by Gauss-Newton on the complex residual.  Remaining phases are
+absorbed into local Z rotations.
 
 A generic state admits four such decompositions; the returned one is
 the representative with alpha in [0, pi], largest l0, then smallest
@@ -20,12 +21,9 @@ trusting the algebra.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import classify, qcore, states
 
@@ -74,84 +72,122 @@ def _blocks(psi: np.ndarray, t: float, p: float):
     return u_a, t0, t1
 
 
-def _forbidden_amp_sq_fn(psi: np.ndarray, branch: int):
-    """Objective |would-be 011 amplitude|^2 as a cheap scalar closure.
+def _residual(tens: np.ndarray, t, p, sgn):
+    """Complex forbidden |011> amplitude at A-angles (t, p), elementwise.
 
-    Closed form via the eigenvectors of T1^dag T1; pure Python complex
-    arithmetic so the refinement loop avoids per-call LAPACK overhead.
+    q is the right singular vector of T1 on branch sgn (+1: the larger
+    singular value s, -1: the smaller) and u = T1 q / s its left partner,
+    so the amplitude u^dag T0 q equals q^dag (T1^dag T0) q / (|q|^2 s),
+    which does not depend on the phase of q.  t, p and sgn broadcast.
     """
-    a = [complex(z) for z in psi]
-    sgn = 1.0 if branch == 0 else -1.0
-
-    def objective(x) -> float:
-        t, p = float(x[0]), float(x[1])
-        v0 = math.cos(t)
-        v1 = math.sin(t) * cmath.exp(1j * p)
-        cv0, cv1 = v0, v1.conjugate()
-        # A-side blocks: T1 = v0*A0 + v1*A1, T0 = cv1*A0 - cv0*A1
-        t1_00 = v0 * a[0] + v1 * a[4]
-        t1_01 = v0 * a[1] + v1 * a[5]
-        t1_10 = v0 * a[2] + v1 * a[6]
-        t1_11 = v0 * a[3] + v1 * a[7]
-        t0_00 = cv1 * a[0] - cv0 * a[4]
-        t0_01 = cv1 * a[1] - cv0 * a[5]
-        t0_10 = cv1 * a[2] - cv0 * a[6]
-        t0_11 = cv1 * a[3] - cv0 * a[7]
-        h00 = abs(t1_00) ** 2 + abs(t1_10) ** 2
-        h11 = abs(t1_01) ** 2 + abs(t1_11) ** 2
-        h01 = t1_00.conjugate() * t1_01 + t1_10.conjugate() * t1_11
-        k00 = t1_00.conjugate() * t0_00 + t1_10.conjugate() * t0_10
-        k01 = t1_00.conjugate() * t0_01 + t1_10.conjugate() * t0_11
-        k10 = t1_01.conjugate() * t0_00 + t1_11.conjugate() * t0_10
-        k11 = t1_01.conjugate() * t0_01 + t1_11.conjugate() * t0_11
-        delta = 0.5 * (h00 - h11)
-        r = math.sqrt(delta * delta + abs(h01) ** 2)
-        q0, q1 = h01, sgn * r - delta
-        nsq = abs(q0) ** 2 + q1 * q1
-        if nsq < 1e-300:
-            q0, q1, nsq = 1.0, 0.0, 1.0
-        f = q0.conjugate() * (k00 * q0 + k01 * q1) + q1 * (k10 * q0 + k11 * q1)
-        f_sq = abs(f) ** 2 / (nsq * nsq)
-        mu = 0.5 * (h00 + h11) + sgn * r
-        return f_sq / mu if mu > 1e-300 else f_sq
-
-    return objective
-
-
-def _grid_residuals(psi: np.ndarray, ts: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """|forbidden amplitude| on a (t, p) grid for both branches, vectorized.
-
-    Uses the SVD-free form: q is an eigenvector of T1^dag T1 and the
-    residual is |q^dag T1^dag T0 q| / singular value.
-    """
-    tens = psi.reshape(2, 2, 2)
-    tt, pp = np.meshgrid(ts, ps, indexing="ij")
-    v0 = np.cos(tt)
-    v1 = np.sin(tt) * np.exp(1j * pp)
-    t1 = v0[..., None, None] * tens[0] + v1[..., None, None] * tens[1]
-    t0 = np.conj(v1)[..., None, None] * tens[0] - np.conj(v0)[..., None, None] * tens[1]
-    h = np.swapaxes(t1.conj(), -1, -2) @ t1
-    k = np.swapaxes(t1.conj(), -1, -2) @ t0
-    h00 = h[..., 0, 0].real
-    h11 = h[..., 1, 1].real
-    h01 = h[..., 0, 1]
+    v0 = np.cos(t)
+    v1 = np.sin(t) * np.exp(1j * p)
+    lead = (4,) + (1,) * v1.ndim
+    a, b = tens[0].reshape(lead), tens[1].reshape(lead)
+    # entries 00, 01, 10, 11 of the A-side blocks
+    # T1 = v0*A0 + v1*A1 and T0 = conj(v1)*A0 - v0*A1
+    x = v0 * a + v1 * b
+    y = np.conj(v1) * a - v0 * b
+    cx = np.conj(x)
+    # H = T1^dag T1 and K = T1^dag T0
+    h00 = (cx[0] * x[0] + cx[2] * x[2]).real
+    h11 = (cx[1] * x[1] + cx[3] * x[3]).real
+    h01 = cx[0] * x[1] + cx[2] * x[3]
+    k00 = cx[0] * y[0] + cx[2] * y[2]
+    k01 = cx[0] * y[1] + cx[2] * y[3]
+    k10 = cx[1] * y[0] + cx[3] * y[2]
+    k11 = cx[1] * y[1] + cx[3] * y[3]
     delta = 0.5 * (h00 - h11)
-    r = np.sqrt(delta**2 + np.abs(h01) ** 2)
-    out = []
-    for sgn in (1.0, -1.0):
-        q0 = h01
-        q1 = sgn * r - delta
-        n = np.sqrt(np.abs(q0) ** 2 + q1**2)
-        safe = np.where(n < 1e-150, 1.0, n)
-        q0 = np.where(n < 1e-150, 1.0, q0 / safe)
-        q1 = np.where(n < 1e-150, 0.0, q1 / safe)
-        f = np.abs(
-            np.conj(q0) * (k[..., 0, 0] * q0 + k[..., 0, 1] * q1)
-            + np.conj(q1) * (k[..., 1, 0] * q0 + k[..., 1, 1] * q1)
-        )
-        s = np.sqrt(np.maximum(0.5 * (h00 + h11) + sgn * r, 0.0))
-        out.append(np.where(s > 1e-150, f / np.where(s == 0.0, 1.0, s), f))
-    return np.array(out)
+    m = (h01 * np.conj(h01)).real
+    rad = np.sqrt(delta * delta + m)
+    # the eigenvector of H for (h00 + h11)/2 + sgn*rad is (h01, sgn*rad - delta)
+    # or (sgn*rad + delta, conj(h01)); the one free of cancellation has the
+    # real entry sgn*e, e = rad + |delta|, and |q|^2 = |h01|^2 + e^2
+    e = rad + np.abs(delta)
+    nsq = m + e * e
+    m = np.where(nsq < 1e-300, 1.0, m)  # H proportional to 1: take q = (1, 0)
+    nsq = np.where(nsq < 1e-300, 1.0, nsq)
+    # q^dag K q / |q|^2 = k11 + (|q0|^2 (k00 - k11) + sgn*e*(conj(h01) k01 + h01 k10)) / |q|^2
+    q0_sq = np.where(sgn * delta > 0.0, e * e, m)
+    f = k11 + (q0_sq * (k00 - k11) + sgn * e * (np.conj(h01) * k01 + h01 * k10)) / nsq
+    s = np.sqrt(np.maximum(0.5 * (h00 + h11) + sgn * rad, 0.0))
+    return f / np.where(s > 1e-150, s, 1.0)
+
+
+_FD_STEP = 1e-7  # forward-difference step of the Jacobian
+_MAX_MOVE = 0.05  # longest Gauss-Newton step, in radians of (t, p)
+_MIN_MOVE = 1e-9  # a seed whose step radius shrinks below this stops
+_POLISH_ITERS = 30
+_DONE_SQ = 1e-30  # |r|^2 at which a seed stops moving
+_ROOT_SQ = 1e-20  # |r|^2 accepted as a root
+_SIGNS = np.array([1.0, -1.0])  # branch 0: the larger singular value of T1
+
+
+def _linearize(tens: np.ndarray, t: np.ndarray, p: np.ndarray, sgn: np.ndarray):
+    """Residual r at each point and its 2x2 real Jacobian d(Re r, Im r)/d(t, p).
+
+    Forward differences, all three evaluations in one kernel call.
+    """
+    n = t.size
+    r = _residual(
+        tens,
+        np.concatenate([t, t + _FD_STEP, t]),
+        np.concatenate([p, p, p + _FD_STEP]),
+        np.concatenate([sgn, sgn, sgn]),
+    )
+    d_t, d_p = (r[n : 2 * n] - r[:n]) / _FD_STEP, (r[2 * n :] - r[:n]) / _FD_STEP
+    jac = np.stack([np.stack([d_t.real, d_p.real], -1), np.stack([d_t.imag, d_p.imag], -1)], -2)
+    return r[:n], jac
+
+
+def _polish(tens: np.ndarray, t: np.ndarray, p: np.ndarray, sgn: np.ndarray):
+    """Gauss-Newton on (Re r, Im r) from every seed at once.
+
+    The step comes from the pseudo-inverse of the 2x2 Jacobian, so the
+    rank-one Jacobians on the flat root ridges of degenerate states still
+    give a step onto the ridge.  Each seed clamps its step to a radius
+    that starts at _MAX_MOVE.  A step that makes |r| worse is halved
+    once; if that is still worse the seed stays put and quarters its
+    radius, and a step taken doubles it, up to _MAX_MOVE.  A seed stops
+    once |r|^2 <= _DONE_SQ or its radius falls below _MIN_MOVE.  Returns
+    the polished (t, p, |r|^2).
+    """
+    t, p = t.copy(), p.copy()
+    r, jac = _linearize(tens, t, p, sgn)
+    radius = np.full(t.shape, _MAX_MOVE)
+    for _ in range(_POLISH_ITERS):
+        idx = np.flatnonzero((radius >= _MIN_MOVE) & (np.abs(r) ** 2 > _DONE_SQ))
+        if idx.size == 0:
+            break
+        n, ri = idx.size, r[idx]
+        rhs = np.stack([ri.real, ri.imag], -1)[..., None]
+        step = -(np.linalg.pinv(jac[idx]) @ rhs)[..., 0]
+        length = np.hypot(step[:, 0], step[:, 1])
+        step *= np.minimum(1.0, radius[idx] / np.maximum(length, 1e-300))[:, None]
+        # the full step and its halving, evaluated together
+        trial = np.concatenate([step, 0.5 * step])
+        at = np.concatenate([idx, idx])
+        r_try, jac_try = _linearize(tens, t[at] + trial[:, 0], p[at] + trial[:, 1], sgn[at])
+        full = np.abs(r_try[:n]) <= np.abs(ri)
+        moved = full | (np.abs(r_try[n:]) <= np.abs(ri))
+        pick = np.where(full, 0, n) + np.arange(n)
+        k, pk = idx[moved], pick[moved]
+        t[k] += trial[pk, 0]
+        p[k] += trial[pk, 1]
+        r[k], jac[k] = r_try[pk], jac_try[pk]
+        radius[idx] = np.where(moved, np.minimum(2.0 * radius[idx], _MAX_MOVE), 0.25 * radius[idx])
+    return t, p, np.abs(r) ** 2
+
+
+def _roots(tens: np.ndarray, t: np.ndarray, p: np.ndarray, branch: np.ndarray):
+    """Polish seeds on their branches; the distinct roots reached, in seed order."""
+    t, p, r_sq = _polish(tens, t, p, _SIGNS[branch])
+    p = np.mod(p, 2.0 * np.pi)
+    hit = np.flatnonzero(r_sq <= _ROOT_SQ)
+    keys = np.round(np.stack([t[hit], p[hit], branch[hit]], axis=1), 8)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    keep = hit[np.sort(first)]
+    return t[keep], p[keep], branch[keep]
 
 
 def _local_minima(g: np.ndarray) -> np.ndarray:
@@ -306,10 +342,12 @@ def _separated(cand, grid_p: int, dt: int, dp: int, cap: int) -> list:
 def acin_decompose(psi, grid_t: int = 96, grid_p: int = 192) -> CanonicalResult:
     """Bring a pure state to the five-term canonical form.
 
-    Enumerates the root branches on a (t, p) grid over the A-unitary
-    sphere, polishes each local minimum of the forbidden |011>
-    amplitude, and returns the valid decomposition with alpha in
-    [0, pi], ties broken by larger l0 then smaller alpha.
+    Evaluates the forbidden |011> amplitude of both singular-value
+    branches on a (t, p) grid over the A-unitary sphere, takes up to 48
+    well-separated local minima per branch as seeds, and polishes them
+    together by batched Gauss-Newton; every root found also seeds the
+    other branch.  Returns the valid decomposition with alpha in [0, pi],
+    ties broken by larger l0 then smaller alpha.
     """
     psi = states.check_pure(psi)
     spectra = qcore._reduced_spectra(psi)
@@ -321,10 +359,10 @@ def acin_decompose(psi, grid_t: int = 96, grid_p: int = 192) -> CanonicalResult:
             return special[0]
     ts = np.linspace(1e-6, np.pi / 2 - 1e-6, grid_t)
     ps = np.linspace(0.0, 2.0 * np.pi, grid_p, endpoint=False)
-    grids = _grid_residuals(psi, ts, ps)
-    results: list[CanonicalResult] = []
+    tens = psi.reshape(2, 2, 2)
+    grids = np.abs(_residual(tens, ts[:, None], ps[None, :], _SIGNS[:, None, None]))
+    seeds = []  # (it, ip, branch), branch 0 first
     for branch in (0, 1):
-        objective = _forbidden_amp_sq_fn(psi, branch)
         g = grids[branch]
         cand = np.argwhere(_local_minima(g) & (g < 0.1))
         # flat valleys (degenerate states) mark whole ridges as minima;
@@ -338,19 +376,17 @@ def acin_decompose(psi, grid_t: int = 96, grid_p: int = 192) -> CanonicalResult:
         for extra in _separated(cand, grid_p, 1, 2, 32):
             if extra not in kept:
                 kept.append(extra)
-        kept = kept[:48]
-        for it, ip in kept:
-            res = minimize(
-                objective,
-                x0=[ts[it], ps[ip]],
-                method="Nelder-Mead",
-                options={"xatol": 1e-11, "fatol": 1e-26, "maxiter": 1500},
-            )
-            if res.fun > 1e-20:
-                continue
-            built = _build_candidate(
-                psi, float(res.x[0]), float(np.mod(res.x[1], 2.0 * np.pi)), branch
-            )
+        seeds += [(it, ip, branch) for it, ip in kept[:48]]
+    results: list[CanonicalResult] = []
+    if seeds:
+        it, ip, branch = np.array(seeds).T
+        t, p, branch = _roots(tens, ts[it], ps[ip], branch)
+        # a root beside a crossing of the two singular values of T1 can hide
+        # the neighbouring root of the other branch from the grid: seed the
+        # other branch at every root found
+        t2, p2, branch2 = _roots(tens, t, p, 1 - branch)
+        for tk, pk, bk in zip(np.append(t, t2), np.append(p, p2), np.append(branch, branch2)):
+            built = _build_candidate(psi, float(tk), float(pk), int(bk))
             if built is None:
                 continue
             if any(

@@ -99,5 +99,8 @@ def ppt_min_eigenvalue(rho, cut) -> float:
     Nonnegative (within numerical slack) for states separable across
     that cut; negative values flag entanglement across it.
     """
-    rho = states.check_density_matrix(rho)
+    return _ppt_min_eigenvalue(states.check_density_matrix(rho), cut)
+
+
+def _ppt_min_eigenvalue(rho: np.ndarray, cut) -> float:
     return float(qcore.hermitian_eigs(qcore.partial_transpose(rho, cut))[0])

@@ -146,7 +146,7 @@ def _cmd_ppt(args) -> int:
         rho = _load_rho(args.rho)
     else:
         rho = qcore.outer(_load_pure(args))
-    _emit({cut: classify.ppt_min_eigenvalue(rho, cut) for cut in classify.CUTS}, args)
+    _emit({cut: classify._ppt_min_eigenvalue(rho, cut) for cut in classify.CUTS}, args)
     return 0
 
 

@@ -9,10 +9,10 @@ grid plus local refinement for the W family.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import qcore, states
 
@@ -23,6 +23,7 @@ BOUNDARY_TOL = 1e-12
 W_SECTOR = (1, 2, 4)  # basis indices |001>, |010>, |100>
 
 _GRID = 2048
+_NEWTON_ITERS = 8
 
 
 def detects(value: float, tol: float = BOUNDARY_TOL) -> bool:
@@ -135,7 +136,7 @@ def min_w_expectation_mixed(rho) -> tuple[float, float, float]:
         (s + 2 Re(m01 e^{i gamma}) + 2 Re((m02 + m12 e^{-i gamma}) e^{i beta})) / 3
 
     so for fixed gamma the beta maximum is a modulus, leaving a smooth
-    one-dimensional problem: gridded, then polished by bounded Brent.
+    one-dimensional problem: gridded, then polished by Newton on its slope.
     """
     return _w_min(states.check_density_matrix(rho))
 
@@ -152,20 +153,44 @@ def _w_min(rho: np.ndarray) -> tuple[float, float, float]:
 
     grid = np.linspace(0.0, 2.0 * np.pi, _GRID, endpoint=False)
     step = grid[1] - grid[0]
-    g0 = grid[int(np.argmax(profile(grid)))]
-    res = optimize.minimize_scalar(
-        lambda g: -profile(g),
-        bounds=(g0 - step, g0 + step),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    gamma = float(res.x) if -res.fun >= profile(g0) else float(g0)
+    g0 = float(grid[int(np.argmax(profile(grid)))])
+    gamma = _newton_peak(g0, step, complex(m01), complex(m02), complex(m12))
+    if profile(gamma) < profile(g0):
+        gamma = g0
     overlap = (s + float(profile(gamma))) / 3.0
     combined = m02 + m12 * np.exp(-1j * gamma)
     beta = float(-np.angle(combined)) if abs(combined) > 1e-15 else 0.0
     gamma = float(np.mod(gamma, 2.0 * np.pi))
     beta = float(np.mod(beta, 2.0 * np.pi))
     return float(2.0 / 3.0 - overlap), gamma, beta
+
+
+def _newton_peak(gamma: float, step: float, m01: complex, m02: complex, m12: complex) -> float:
+    """Newton on the slope of the W profile from a grid peak.
+
+    With c = m02 + m12 e^{-i gamma} the profile 2 Re(m01 e^{i gamma}) + 2|c|
+    has closed-form first and second derivatives.  Each move is clamped to
+    one grid step; the search stops where the profile is not concave or
+    |c| vanishes (the modulus is not smooth there).
+    """
+    for _ in range(_NEWTON_ITERS):
+        a = m01 * cmath.exp(1j * gamma)
+        e = m12 * cmath.exp(-1j * gamma)
+        c = m02 + e
+        mod = abs(c)
+        if mod < 1e-15:
+            break
+        # dc/dgamma = -i e and d2c/dgamma2 = -e
+        slope_c = (c.conjugate() * -1j * e).real / mod
+        slope = -2.0 * a.imag + 2.0 * slope_c
+        curve = -2.0 * a.real + 2.0 * ((c.conjugate() * -e).real + abs(e) ** 2 - slope_c**2) / mod
+        if curve >= 0.0:
+            break
+        move = min(max(-slope / curve, -step), step)
+        gamma += move
+        if abs(move) < 1e-15:
+            break
+    return gamma
 
 
 def ghzw_criterion(rho) -> CriterionVerdict:

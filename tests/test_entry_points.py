@@ -1,9 +1,12 @@
 """Validation once per public entry point, one detection rule, atomic output."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 
+import ghzw
 from ghzw import classify, cli, criterion, scanner, states
 
 
@@ -66,3 +69,25 @@ def test_cli_output_mode_follows_umask(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_cli_ppt_validates_rho_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "rho.json"
+    states.save_rho(states.mix([(0.5, states.make_ghz()), (0.5, states.make_w())]), str(path))
+    calls = _counting(monkeypatch, "check_density_matrix")
+    assert cli.run(["ppt", "--rho", str(path)]) == 0
+    assert len(calls) == 1
+
+
+def test_runtime_path_imports_no_scipy():
+    code = (
+        "import sys, ghzw\n"
+        "from ghzw import canonical, criterion, states\n"
+        "canonical.acin_decompose(states.haar_random_pure(0))\n"
+        "criterion.ghzw_criterion(states.mix([(0.5, states.make_ghz()), (0.5, states.make_w())]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ghzw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
