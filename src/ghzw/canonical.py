@@ -5,13 +5,17 @@ Any pure state can be brought by local unitaries to
     l0|000> + l1 e^{i a}|001> + l2|010> + l3|100> + l4|111>
 
 with nonnegative l_i, sum of squares 1, and a in [0, pi].  The
-construction: pick a unitary on qubit A, diagonalize the resulting A=1
-block by the singular bases of B and C (this kills the |101> and |110>
-amplitudes), and demand that the transformed A=0 block vanish at the
-|011> slot.  That last demand is one complex equation on the CP^1 of
-A-unitaries; its roots are located on a dense grid and polished all at
-once by Gauss-Newton on the complex residual.  Remaining phases are
-absorbed into local Z rotations.
+construction: pick a unitary on qubit A with second row v, diagonalize
+the resulting A=1 block T1 by the singular bases of B and C (this kills
+the |101> and |110> amplitudes), and demand that the transformed A=0
+block vanish at the |011> slot.  T1^dag T1 is affine in the Bloch vector
+n of v, so the squared singular values of T1 are
+sigma^2 = c0 + g.n +- |D n + d|, and the |011> demand holds exactly at
+their critical points on the sphere (the stationary points of Hilling
+and Sudbery, J. Math. Phys. 51, 072102 (2010)).  Newton with the
+closed-form gradient and Hessian finds them, and a Poincare-Hopf index
+count checks that none is missing.  Remaining phases are absorbed into
+local Z rotations.
 
 A generic state admits four such decompositions; the returned one is
 the representative with alpha in [0, pi], largest l0, then smallest
@@ -72,136 +76,168 @@ def _blocks(psi: np.ndarray, t: float, p: float):
     return u_a, t0, t1
 
 
-def _residual(tens: np.ndarray, t, p, sgn):
-    """Complex forbidden |011> amplitude at A-angles (t, p), elementwise.
+# the Pauli basis (1, x, y, z): a Hermitian 2x2 X is sum_k tr(X P_k) P_k / 2
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_SEEDS = (64, 4, 12)  # Fibonacci points, then cone-ring scales and directions
+_RETRY_SEEDS = (512, 8, 24)
+_NEWTON_STEPS = 16
+_MAX_STEP = 0.5  # longest Newton move, as a chord of the unit sphere
+_CONE_EPS = 1e-12  # floor of |D n + d| beside the cone point
+_ROOT_TOL = 1e-10  # a Newton step this short has landed on a critical point
+_SAME_ROOT = 1e-6  # Bloch-vector distance within which two roots are one
+_SINGULAR = 1e-8  # |det| / |H|^2 at or below which a tangent Hessian H is singular
+_TANGLE_EPS = 1e-12  # three-tangle below which det M(v) = 0 has a double root
 
-    q is the right singular vector of T1 on branch sgn (+1: the larger
-    singular value s, -1: the smaller) and u = T1 q / s its left partner,
-    so the amplitude u^dag T0 q equals q^dag (T1^dag T0) q / (|q|^2 s),
-    which does not depend on the phase of q.  t, p and sgn broadcast.
+
+def _bloch_form(tens: np.ndarray):
+    """(g, d, D) with T1^dag T1 = (c0 + g.n) 1 + (D n + d).sigma.
+
+    n is the Bloch vector (sin 2t cos p, sin 2t sin p, cos 2t) of the
+    A-row v.  With Pij = Ai^dag Aj, T1^dag T1 = H0 + sum_k n_k H_k for
+    H0 = (P00 + P11)/2, Hx = (P01 + P10)/2, Hy = i(P01 - P10)/2 and
+    Hz = (P00 - P11)/2.  The constant c0 moves no critical point.
     """
-    v0 = np.cos(t)
-    v1 = np.sin(t) * np.exp(1j * p)
-    lead = (4,) + (1,) * v1.ndim
-    a, b = tens[0].reshape(lead), tens[1].reshape(lead)
-    # entries 00, 01, 10, 11 of the A-side blocks
-    # T1 = v0*A0 + v1*A1 and T0 = conj(v1)*A0 - v0*A1
-    x = v0 * a + v1 * b
-    y = np.conj(v1) * a - v0 * b
-    cx = np.conj(x)
-    # H = T1^dag T1 and K = T1^dag T0
-    h00 = (cx[0] * x[0] + cx[2] * x[2]).real
-    h11 = (cx[1] * x[1] + cx[3] * x[3]).real
-    h01 = cx[0] * x[1] + cx[2] * x[3]
-    k00 = cx[0] * y[0] + cx[2] * y[2]
-    k01 = cx[0] * y[1] + cx[2] * y[3]
-    k10 = cx[1] * y[0] + cx[3] * y[2]
-    k11 = cx[1] * y[1] + cx[3] * y[3]
-    delta = 0.5 * (h00 - h11)
-    m = (h01 * np.conj(h01)).real
-    rad = np.sqrt(delta * delta + m)
-    # the eigenvector of H for (h00 + h11)/2 + sgn*rad is (h01, sgn*rad - delta)
-    # or (sgn*rad + delta, conj(h01)); the one free of cancellation has the
-    # real entry sgn*e, e = rad + |delta|, and |q|^2 = |h01|^2 + e^2
-    e = rad + np.abs(delta)
-    nsq = m + e * e
-    m = np.where(nsq < 1e-300, 1.0, m)  # H proportional to 1: take q = (1, 0)
-    nsq = np.where(nsq < 1e-300, 1.0, nsq)
-    # q^dag K q / |q|^2 = k11 + (|q0|^2 (k00 - k11) + sgn*e*(conj(h01) k01 + h01 k10)) / |q|^2
-    q0_sq = np.where(sgn * delta > 0.0, e * e, m)
-    f = k11 + (q0_sq * (k00 - k11) + sgn * e * (np.conj(h01) * k01 + h01 * k10)) / nsq
-    s = np.sqrt(np.maximum(0.5 * (h00 + h11) + sgn * rad, 0.0))
-    return f / np.where(s > 1e-150, s, 1.0)
+    a0, a1 = tens
+    p00, p11, p01 = a0.conj().T @ a0, a1.conj().T @ a1, a0.conj().T @ a1
+    ops = np.stack([p00 + p11, p01 + p01.conj().T, 1j * (p01 - p01.conj().T), p00 - p11])
+    comp = np.einsum("kij,lji->kl", ops, _PAULI).real / 4.0
+    return comp[1:, 0], comp[0, 1:], comp[1:, 1:].T
 
 
-_FD_STEP = 1e-7  # forward-difference step of the Jacobian
-_MAX_MOVE = 0.05  # longest Gauss-Newton step, in radians of (t, p)
-_MIN_MOVE = 1e-9  # a seed whose step radius shrinks below this stops
-_POLISH_ITERS = 30
-_DONE_SQ = 1e-30  # |r|^2 at which a seed stops moving
-_ROOT_SQ = 1e-20  # |r|^2 accepted as a root
-_SIGNS = np.array([1.0, -1.0])  # branch 0: the larger singular value of T1
+def _tangent_basis(n: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent bases (N, 3, 2) at the unit rows n.
 
-
-def _linearize(tens: np.ndarray, t: np.ndarray, p: np.ndarray, sgn: np.ndarray):
-    """Residual r at each point and its 2x2 real Jacobian d(Re r, Im r)/d(t, p).
-
-    Forward differences, all three evaluations in one kernel call.
+    The polar and azimuthal unit vectors; at the poles, where the azimuth
+    is arbitrary, they are still an orthonormal pair.
     """
-    n = t.size
-    r = _residual(
-        tens,
-        np.concatenate([t, t + _FD_STEP, t]),
-        np.concatenate([p, p, p + _FD_STEP]),
-        np.concatenate([sgn, sgn, sgn]),
-    )
-    d_t, d_p = (r[n : 2 * n] - r[:n]) / _FD_STEP, (r[2 * n :] - r[:n]) / _FD_STEP
-    jac = np.stack([np.stack([d_t.real, d_p.real], -1), np.stack([d_t.imag, d_p.imag], -1)], -2)
-    return r[:n], jac
+    phi = np.arctan2(n[:, 1], n[:, 0])
+    cos, sin = np.cos(phi), np.sin(phi)
+    polar = np.stack([n[:, 2] * cos, n[:, 2] * sin, -np.hypot(n[:, 0], n[:, 1])], axis=1)
+    return np.stack([polar, np.stack([-sin, cos, np.zeros_like(phi)], axis=1)], axis=2)
 
 
-def _polish(tens: np.ndarray, t: np.ndarray, p: np.ndarray, sgn: np.ndarray):
-    """Gauss-Newton on (Re r, Im r) from every seed at once.
+def _newton(form, n: np.ndarray, sgn: np.ndarray):
+    """Newton on the sphere for sigma^2 = c0 + g.n + sgn |D n + d|, all seeds at once.
 
-    The step comes from the pseudo-inverse of the 2x2 Jacobian, so the
-    rank-one Jacobians on the flat root ridges of degenerate states still
-    give a step onto the ridge.  Each seed clamps its step to a radius
-    that starts at _MAX_MOVE.  A step that makes |r| worse is halved
-    once; if that is still worse the seed stays put and quarters its
-    radius, and a step taken doubles it, up to _MAX_MOVE.  A seed stops
-    once |r|^2 <= _DONE_SQ or its radius falls below _MIN_MOVE.  Returns
-    the polished (t, p, |r|^2).
+    With w = D n + d and e = w / |w| the gradient is g + sgn D^T e and the
+    Hessian sgn D^T (1 - e e^T) D / |w|; on the sphere the tangent Hessian
+    loses (n . gradient).  Where that Hessian is singular (the flat
+    critical rings of symmetric states) the step uses its pseudo-inverse,
+    H / |H|^2 for rank one, which still steps onto the ring.  A seed stops
+    once its step is within _ROOT_TOL, which by quadratic convergence
+    leaves it on its root to about the square of that.  Returns the
+    points, the length of each one's last step and its index: the sign of
+    the tangent-Hessian determinant, 0 where that Hessian is singular.
     """
-    t, p = t.copy(), p.copy()
-    r, jac = _linearize(tens, t, p, sgn)
-    radius = np.full(t.shape, _MAX_MOVE)
-    for _ in range(_POLISH_ITERS):
-        idx = np.flatnonzero((radius >= _MIN_MOVE) & (np.abs(r) ** 2 > _DONE_SQ))
-        if idx.size == 0:
+    g, d, dm = form
+    n = n.copy()
+    length, index = np.full(len(n), np.inf), np.zeros(len(n))
+    for _ in range(_NEWTON_STEPS):
+        live = np.flatnonzero(length > _ROOT_TOL)
+        x, s = n[live], sgn[live, None]
+        w = x @ dm.T + d
+        r = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), _CONE_EPS)
+        basis = _tangent_basis(x)
+        db = dm @ basis
+        de = np.einsum("nki,nk->ni", db, w / r)
+        grad = np.einsum("nki,k->ni", basis, g) + s * de
+        radial = x @ g + s[:, 0] * np.sum((w - d) * w, axis=1) / r[:, 0]
+        hess = s[:, :, None] * (db.transpose(0, 2, 1) @ db - de[:, :, None] * de[:, None, :]) / r[:, :, None]
+        a, b, c = hess[:, 0, 0] - radial, hess[:, 0, 1], hess[:, 1, 1] - radial
+        det, size = a * c - b * b, a * a + 2.0 * b * b + c * c
+        flat = np.abs(det) <= _SINGULAR * size
+        index[live] = np.where(flat, 0.0, np.sign(det))
+        g0, g1 = grad[:, 0], grad[:, 1]
+        pinv_step = np.stack([a * g0 + b * g1, b * g0 + c * g1], 1) / np.maximum(size, 1e-300)[:, None]
+        newton_step = np.stack([c * g0 - b * g1, a * g1 - b * g0], 1) / np.where(flat, 1.0, det)[:, None]
+        move = -np.einsum("nki,ni->nk", basis, np.where(flat[:, None], pinv_step, newton_step))
+        length[live] = np.linalg.norm(move, axis=1)
+        x = x + move * np.minimum(1.0, _MAX_STEP / np.maximum(length[live], 1e-300))[:, None]
+        n[live] = x / np.linalg.norm(x, axis=1, keepdims=True)
+    return n, length, index
+
+
+def _det_zeros(tens: np.ndarray):
+    """Bloch vectors where det(v0 A0 + v1 A1) = 0, and whether the root is double.
+
+    det is the binary quadratic qa v0^2 + qb v0 v1 + qc v1^2, whose
+    discriminant is Cayley's hyperdeterminant (the three-tangle is 4|disc|).
+    Its roots (qc : q) and (q : qa), with q = -(qb + sqrt(disc)) / 2 on the
+    sign free of cancellation, are the zeros of the lower branch (Acin et
+    al.).
+    """
+    a0, a1 = tens
+    qa, qc = np.linalg.det(a0), np.linalg.det(a1)
+    qb = a0[0, 0] * a1[1, 1] + a1[0, 0] * a0[1, 1] - a0[0, 1] * a1[1, 0] - a1[0, 1] * a0[1, 0]
+    disc = qb * qb - 4.0 * qa * qc
+    root = np.sqrt(complex(disc))
+    q = -(qb + root) / 2.0 if (np.conj(qb) * root).real >= 0.0 else -(qb - root) / 2.0
+    v = np.array([(qc, q), (q, qa)], dtype=complex)
+    v = v[np.linalg.norm(v, axis=1) > 1e-150]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    cross = np.conj(v[:, 0]) * v[:, 1]
+    bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag, np.abs(v[:, 0]) ** 2 - np.abs(v[:, 1]) ** 2], 1)
+    return bloch, 4.0 * abs(disc) <= _TANGLE_EPS
+
+
+def _seeds(form, n_fib: int, n_scales: int, n_dirs: int) -> np.ndarray:
+    """Fibonacci-spiral points plus rings around the cone direction n*/|n*|.
+
+    n* = -D^{-1} d is where the branches touch.  When it lies near the
+    sphere, roots of both branches crowd beside it, closer than a uniform
+    seed set resolves.
+    """
+    _, d, dm = form
+    i = np.arange(n_fib) + 0.5
+    z, phi = 1.0 - 2.0 * i / n_fib, np.pi * (1.0 + np.sqrt(5.0)) * i
+    rho = np.sqrt(1.0 - z * z)
+    seeds = [np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)]
+    if abs(np.linalg.det(dm)) > 1e-12:  # a singular D has no single cone point
+        m = -np.linalg.solve(dm, d)
+        m /= np.linalg.norm(m)
+        b1, b2 = _tangent_basis(m[None])[0].T
+        phi = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
+        ring = np.outer(np.cos(phi), b1) + np.outer(np.sin(phi), b2)
+        pts = (m + np.geomspace(0.1, 1e-4, n_scales)[:, None, None] * ring).reshape(-1, 3)
+        seeds.append(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    return np.concatenate(seeds)
+
+
+def _critical_points(tens: np.ndarray):
+    """Critical points (Bloch vectors, branches, indices) of sigma_+^2 and sigma_-^2.
+
+    Branch 0 is sigma_+^2, branch 1 sigma_-^2.  The lower branch's zeros
+    come first, as minima (index +1); every other point carries the sign
+    of its tangent-Hessian determinant, 0 where that Hessian is singular.
+    The zeros also seed both branches: on the axis of a symmetric state a
+    zero is a critical point of the upper branch too, ringed by critical
+    points whose basins the other seeds fall into.  By Poincare-Hopf the
+    indices on each branch sum to 2 on a Morse input, one with no singular
+    tangent Hessian at a root and no double root of det M(v) = 0 (a
+    three-tangle not about 0); when the sum fails there, the search runs
+    once more from a denser seed set.
+    """
+    form = _bloch_form(tens)
+    zeros, double = _det_zeros(tens)
+    for counts in (_SEEDS, _RETRY_SEEDS):
+        seeds = np.concatenate([zeros, _seeds(form, *counts)])
+        sgn = np.repeat([1.0, -1.0], len(seeds))
+        n, last, index = _newton(form, np.concatenate([seeds, seeds]), sgn)
+        found = last <= _ROOT_TOL
+        n = np.concatenate([zeros, n[found]])
+        branch = np.concatenate([np.ones(len(zeros), dtype=int), (sgn[found] < 0).astype(int)])
+        index = np.concatenate([np.ones(len(zeros)), index[found]])
+        # most roots are reached from many seeds: drop exact repeats
+        # cheaply, then compare the few left pairwise
+        _, first = np.unique(np.column_stack([np.round(n / _SAME_ROOT), branch]), axis=0, return_index=True)
+        n, branch, index = n[np.sort(first)], branch[np.sort(first)], index[np.sort(first)]
+        near = np.linalg.norm(n[:, None] - n[None], axis=2) <= _SAME_ROOT
+        keep = ~np.tril(near & (branch[:, None] == branch[None]), -1).any(axis=1)
+        n, branch, index = n[keep], branch[keep], index[keep]
+        counted = all(np.sum(index[branch == b]) == 2 for b in (0, 1))
+        if counted or double or np.any(index == 0):
             break
-        n, ri = idx.size, r[idx]
-        rhs = np.stack([ri.real, ri.imag], -1)[..., None]
-        step = -(np.linalg.pinv(jac[idx]) @ rhs)[..., 0]
-        length = np.hypot(step[:, 0], step[:, 1])
-        step *= np.minimum(1.0, radius[idx] / np.maximum(length, 1e-300))[:, None]
-        # the full step and its halving, evaluated together
-        trial = np.concatenate([step, 0.5 * step])
-        at = np.concatenate([idx, idx])
-        r_try, jac_try = _linearize(tens, t[at] + trial[:, 0], p[at] + trial[:, 1], sgn[at])
-        full = np.abs(r_try[:n]) <= np.abs(ri)
-        moved = full | (np.abs(r_try[n:]) <= np.abs(ri))
-        pick = np.where(full, 0, n) + np.arange(n)
-        k, pk = idx[moved], pick[moved]
-        t[k] += trial[pk, 0]
-        p[k] += trial[pk, 1]
-        r[k], jac[k] = r_try[pk], jac_try[pk]
-        radius[idx] = np.where(moved, np.minimum(2.0 * radius[idx], _MAX_MOVE), 0.25 * radius[idx])
-    return t, p, np.abs(r) ** 2
-
-
-def _roots(tens: np.ndarray, t: np.ndarray, p: np.ndarray, branch: np.ndarray):
-    """Polish seeds on their branches; the distinct roots reached, in seed order."""
-    t, p, r_sq = _polish(tens, t, p, _SIGNS[branch])
-    p = np.mod(p, 2.0 * np.pi)
-    hit = np.flatnonzero(r_sq <= _ROOT_SQ)
-    keys = np.round(np.stack([t[hit], p[hit], branch[hit]], axis=1), 8)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    keep = hit[np.sort(first)]
-    return t[keep], p[keep], branch[keep]
-
-
-def _local_minima(g: np.ndarray) -> np.ndarray:
-    """Boolean mask of grid local minima; the p axis is periodic."""
-    mask = np.ones_like(g, dtype=bool)
-    for shift, axis in [(1, 0), (-1, 0), (1, 1), (-1, 1)]:
-        shifted = np.roll(g, shift, axis=axis)
-        if axis == 0:  # t axis does not wrap
-            if shift == 1:
-                shifted[0, :] = np.inf
-            else:
-                shifted[-1, :] = np.inf
-        mask &= g <= shifted
-    return mask
+    return n, branch, index
 
 
 # phase-equation rows over x = (a0, a1, b0, b1, c0, c1): the local Z
@@ -324,30 +360,15 @@ def _biseparable_candidates(psi: np.ndarray, product_slots) -> list:
     return out
 
 
-def _separated(cand, grid_p: int, dt: int, dp: int, cap: int) -> list:
-    """Greedy subset of grid candidates at least (dt, dp) cells apart."""
-    kept = []
-    for it, ip in cand:
-        close = any(
-            abs(it - jt) <= dt and min(abs(ip - jp), grid_p - abs(ip - jp)) <= dp
-            for jt, jp in kept
-        )
-        if not close:
-            kept.append((int(it), int(ip)))
-        if len(kept) >= cap:
-            break
-    return kept
-
-
-def acin_decompose(psi, grid_t: int = 96, grid_p: int = 192) -> CanonicalResult:
+def acin_decompose(psi) -> CanonicalResult:
     """Bring a pure state to the five-term canonical form.
 
-    Evaluates the forbidden |011> amplitude of both singular-value
-    branches on a (t, p) grid over the A-unitary sphere, takes up to 48
-    well-separated local minima per branch as seeds, and polishes them
-    together by batched Gauss-Newton; every root found also seeds the
-    other branch.  Returns the valid decomposition with alpha in [0, pi],
-    ties broken by larger l0 then smaller alpha.
+    States product across a cut take a direct construction.  Otherwise
+    every critical point of both singular-value branches on the A-row
+    sphere (see :func:`_critical_points`) is built into a candidate and
+    checked by its reconstruction residual.  Returns the valid
+    decomposition with alpha in [0, pi], ties broken by larger l0 then
+    smaller alpha.
     """
     psi = states.check_pure(psi)
     spectra = qcore._reduced_spectra(psi)
@@ -357,45 +378,21 @@ def acin_decompose(psi, grid_t: int = 96, grid_p: int = 192) -> CanonicalResult:
         if special:
             special.sort(key=lambda r: (-r.params.lambda0, r.params.alpha))
             return special[0]
-    ts = np.linspace(1e-6, np.pi / 2 - 1e-6, grid_t)
-    ps = np.linspace(0.0, 2.0 * np.pi, grid_p, endpoint=False)
-    tens = psi.reshape(2, 2, 2)
-    grids = np.abs(_residual(tens, ts[:, None], ps[None, :], _SIGNS[:, None, None]))
-    seeds = []  # (it, ip, branch), branch 0 first
-    for branch in (0, 1):
-        g = grids[branch]
-        cand = np.argwhere(_local_minima(g) & (g < 0.1))
-        # flat valleys (degenerate states) mark whole ridges as minima;
-        # keep the best few well-separated candidates
-        cand = sorted(cand, key=lambda idx: g[idx[0], idx[1]])
-        # two diversity scales: a coarse well-separated subset samples
-        # flat ridges of degenerate states across their whole length,
-        # while a fine subset keeps distinct roots that sit only a few
-        # cells apart (they must not be collapsed into one candidate)
-        kept = _separated(cand, grid_p, 4, 8, 24)
-        for extra in _separated(cand, grid_p, 1, 2, 32):
-            if extra not in kept:
-                kept.append(extra)
-        seeds += [(it, ip, branch) for it, ip in kept[:48]]
+    n, branch, _ = _critical_points(psi.reshape(2, 2, 2))
+    t = 0.5 * np.arccos(np.clip(n[:, 2], -1.0, 1.0))
+    p = np.arctan2(n[:, 1], n[:, 0])
     results: list[CanonicalResult] = []
-    if seeds:
-        it, ip, branch = np.array(seeds).T
-        t, p, branch = _roots(tens, ts[it], ps[ip], branch)
-        # a root beside a crossing of the two singular values of T1 can hide
-        # the neighbouring root of the other branch from the grid: seed the
-        # other branch at every root found
-        t2, p2, branch2 = _roots(tens, t, p, 1 - branch)
-        for tk, pk, bk in zip(np.append(t, t2), np.append(p, p2), np.append(branch, branch2)):
-            built = _build_candidate(psi, float(tk), float(pk), int(bk))
-            if built is None:
-                continue
-            if any(
-                np.allclose(built.params.lambdas, r.params.lambdas, atol=1e-7)
-                and abs(built.params.alpha - r.params.alpha) < 1e-6
-                for r in results
-            ):
-                continue
-            results.append(built)
+    for tk, pk, bk in zip(t, p, branch):
+        built = _build_candidate(psi, float(tk), float(pk), int(bk))
+        if built is None:
+            continue
+        if any(
+            np.allclose(built.params.lambdas, r.params.lambdas, atol=1e-7)
+            and abs(built.params.alpha - r.params.alpha) < 1e-6
+            for r in results
+        ):
+            continue
+        results.append(built)
     if not results:
         raise DecompositionError(
             "no canonical decomposition reached residual tolerance "

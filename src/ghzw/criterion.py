@@ -3,13 +3,12 @@
 Each witness family is minimized over its phase parameters; a state is
 "detected" when some member of a family reaches an expectation below
 -BOUNDARY_TOL (see :func:`detects`).  Pure states admit closed-form
-minima; mixed states use a closed form for the GHZ family and a phase
-grid plus local refinement for the W family.
+minima; mixed states use a closed form for the GHZ family and, for the
+W family, the roots of a sextic that holds every stationary phase.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,9 @@ BOUNDARY_TOL = 1e-12
 
 W_SECTOR = (1, 2, 4)  # basis indices |001>, |010>, |100>
 
-_GRID = 2048
-_NEWTON_ITERS = 8
+#: amplitudes and coherences below this carry no phase: the optimal
+#: phase is then fixed to 0 by convention
+_PHASE_EPS = 1e-15
 
 
 def detects(value: float, tol: float = BOUNDARY_TOL) -> bool:
@@ -77,7 +77,7 @@ def min_ghz_expectation_pure(psi) -> tuple[float, float]:
 def _ghz_min_pure(psi: np.ndarray) -> tuple[float, float]:
     c0, c7 = psi[0], psi[7]
     value = 0.5 - (abs(c0) + abs(c7)) ** 2 / 2.0
-    if abs(c0) < 1e-15 or abs(c7) < 1e-15:
+    if abs(c0) < _PHASE_EPS or abs(c7) < _PHASE_EPS:
         phi = 0.0  # any phase optimal; fixed by convention
     else:
         phi = float(np.angle(c7) - np.angle(c0))
@@ -96,9 +96,9 @@ def min_w_expectation_pure(psi) -> tuple[float, float, float]:
 def _w_min_pure(psi: np.ndarray) -> tuple[float, float, float]:
     c1, c2, c4 = psi[1], psi[2], psi[4]
     value = 2.0 / 3.0 - (abs(c1) + abs(c2) + abs(c4)) ** 2 / 3.0
-    ref = np.angle(c1) if abs(c1) > 1e-15 else 0.0
-    gamma = float(np.angle(c2) - ref) if abs(c2) > 1e-15 and abs(c1) > 1e-15 else 0.0
-    beta = float(np.angle(c4) - ref) if abs(c4) > 1e-15 and abs(c1) > 1e-15 else 0.0
+    ref = np.angle(c1) if abs(c1) > _PHASE_EPS else 0.0
+    gamma = float(np.angle(c2) - ref) if abs(c2) > _PHASE_EPS and abs(c1) > _PHASE_EPS else 0.0
+    beta = float(np.angle(c4) - ref) if abs(c4) > _PHASE_EPS and abs(c1) > _PHASE_EPS else 0.0
     return float(value), gamma, beta
 
 
@@ -124,7 +124,7 @@ def min_ghz_expectation_mixed(rho) -> tuple[float, float]:
 def _ghz_min(rho: np.ndarray) -> tuple[float, float]:
     r07 = rho[0, 7]
     value = 0.5 - (rho[0, 0].real + rho[7, 7].real + 2.0 * abs(r07)) / 2.0
-    phi = float(-np.angle(r07)) if abs(r07) > 1e-15 else 0.0
+    phi = float(-np.angle(r07)) if abs(r07) > _PHASE_EPS else 0.0
     return float(value), phi
 
 
@@ -135,8 +135,10 @@ def min_w_expectation_mixed(rho) -> tuple[float, float, float]:
 
         (s + 2 Re(m01 e^{i gamma}) + 2 Re((m02 + m12 e^{-i gamma}) e^{i beta})) / 3
 
-    so for fixed gamma the beta maximum is a modulus, leaving a smooth
-    one-dimensional problem: gridded, then polished by Newton on its slope.
+    so for fixed gamma the beta maximum is a modulus, leaving a
+    one-dimensional profile in gamma.  Its maximum is a root of the slope,
+    which squared is a sextic in e^{i gamma}, or the kink where the modulus
+    vanishes; every such point is evaluated.
     """
     return _w_min(states.check_density_matrix(rho))
 
@@ -145,52 +147,30 @@ def _w_min(rho: np.ndarray) -> tuple[float, float, float]:
     m = rho[np.ix_(W_SECTOR, W_SECTOR)]
     s = m[0, 0].real + m[1, 1].real + m[2, 2].real
     m01, m02, m12 = m[0, 1], m[0, 2], m[1, 2]
+    b = np.conj(m02) * m12
 
     def profile(gamma):
         return 2.0 * (m01 * np.exp(1j * gamma)).real + 2.0 * np.abs(
             m02 + m12 * np.exp(-1j * gamma)
         )
 
-    grid = np.linspace(0.0, 2.0 * np.pi, _GRID, endpoint=False)
-    step = grid[1] - grid[0]
-    g0 = float(grid[int(np.argmax(profile(grid)))])
-    gamma = _newton_peak(g0, step, complex(m01), complex(m02), complex(m12))
-    if profile(gamma) < profile(g0):
-        gamma = g0
+    # Laurent coefficients in z = e^{i gamma} of 2i Im(m01 z), |c|^2 and
+    # 2i Im(B z^-1), lowest power first; the slope vanishes where
+    # Im(m01 z)|c| = Im(B z^-1), so its square is z^-3 times a sextic
+    im_a = np.array([-np.conj(m01), 0.0, m01])
+    mod_c = np.array([b, abs(m02) ** 2 + abs(m12) ** 2, np.conj(b)])
+    im_b = np.array([b, 0.0, -np.conj(b)])
+    sextic = np.convolve(np.convolve(im_a, im_a), mod_c) - np.pad(np.convolve(im_b, im_b), 1)
+    # every root's angle is a candidate (one off the unit circle only adds a
+    # harmless one), as are gamma = 0 and the kink of |c| at c = 0
+    gammas = np.concatenate([[0.0, np.angle(-b)], np.angle(np.roots(sextic[::-1]))])
+    gamma = float(gammas[int(np.argmax(profile(gammas)))])
     overlap = (s + float(profile(gamma))) / 3.0
     combined = m02 + m12 * np.exp(-1j * gamma)
-    beta = float(-np.angle(combined)) if abs(combined) > 1e-15 else 0.0
+    beta = float(-np.angle(combined)) if abs(combined) > _PHASE_EPS else 0.0
     gamma = float(np.mod(gamma, 2.0 * np.pi))
     beta = float(np.mod(beta, 2.0 * np.pi))
     return float(2.0 / 3.0 - overlap), gamma, beta
-
-
-def _newton_peak(gamma: float, step: float, m01: complex, m02: complex, m12: complex) -> float:
-    """Newton on the slope of the W profile from a grid peak.
-
-    With c = m02 + m12 e^{-i gamma} the profile 2 Re(m01 e^{i gamma}) + 2|c|
-    has closed-form first and second derivatives.  Each move is clamped to
-    one grid step; the search stops where the profile is not concave or
-    |c| vanishes (the modulus is not smooth there).
-    """
-    for _ in range(_NEWTON_ITERS):
-        a = m01 * cmath.exp(1j * gamma)
-        e = m12 * cmath.exp(-1j * gamma)
-        c = m02 + e
-        mod = abs(c)
-        if mod < 1e-15:
-            break
-        # dc/dgamma = -i e and d2c/dgamma2 = -e
-        slope_c = (c.conjugate() * -1j * e).real / mod
-        slope = -2.0 * a.imag + 2.0 * slope_c
-        curve = -2.0 * a.real + 2.0 * ((c.conjugate() * -e).real + abs(e) ** 2 - slope_c**2) / mod
-        if curve >= 0.0:
-            break
-        move = min(max(-slope / curve, -step), step)
-        gamma += move
-        if abs(move) < 1e-15:
-            break
-    return gamma
 
 
 def ghzw_criterion(rho) -> CriterionVerdict:
