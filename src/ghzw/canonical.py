@@ -19,7 +19,8 @@ local Z rotations.
 
 A generic state admits four such decompositions; the returned one is
 the representative with alpha in [0, pi], largest l0, then smallest
-alpha.  Correctness is certified by the reconstruction residual, not by
+alpha, then largest l1, l2, l3 and l4, each compared within _TIE_TOL.
+Correctness is certified by the reconstruction residual, not by
 trusting the algebra.
 """
 
@@ -35,6 +36,7 @@ RESIDUAL_TOL = 1e-8
 
 _AMP_EPS = 1e-10
 _ALPHA_SLACK = 1e-9
+_TIE_TOL = 1e-9  # keys of two representatives this close tie
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,9 @@ def _seeds(form, n_fib: int, n_scales: int, n_dirs: int) -> np.ndarray:
     z, phi = 1.0 - 2.0 * i / n_fib, np.pi * (1.0 + np.sqrt(5.0)) * i
     rho = np.sqrt(1.0 - z * z)
     seeds = [np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)]
-    if abs(np.linalg.det(dm)) > 1e-12:  # a singular D has no single cone point
-        m = -np.linalg.solve(dm, d)
+    # a singular D has no single cone point, and n* = 0 no direction
+    m = -np.linalg.solve(dm, d) if abs(np.linalg.det(dm)) > 1e-12 else np.zeros(3)
+    if np.linalg.norm(m) > 0.0:
         m /= np.linalg.norm(m)
         b1, b2 = _tangent_basis(m[None])[0].T
         phi = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
@@ -338,7 +341,7 @@ def _biseparable_candidates(psi: np.ndarray, product_slots) -> list:
     tens = psi.reshape(2, 2, 2)
     out = []
     for slot in product_slots:
-        m = qcore._solo_pair(psi, slot)
+        m = psi[qcore._SOLO_INDEX[slot]]
         _, vecs = np.linalg.eigh(m @ m.conj().T)
         solo = vecs[:, -1]
         chi = np.tensordot(solo.conj(), tens, axes=(0, slot))
@@ -360,6 +363,19 @@ def _biseparable_candidates(psi: np.ndarray, product_slots) -> list:
     return out
 
 
+def _pick(results: list) -> CanonicalResult:
+    """The representative that comes first by the order in the module docstring.
+
+    Keys within _TIE_TOL tie, so rounding cannot choose between
+    representatives that tie, as all do at l0 = 0.
+    """
+    keys = np.array([[-r.params.lambda0, r.params.alpha, *-r.params.lambdas[1:]] for r in results])
+    live = np.arange(len(results))
+    for col in keys.T:
+        live = live[col[live] <= col[live].min() + _TIE_TOL]
+    return results[live[0]]
+
+
 def acin_decompose(psi) -> CanonicalResult:
     """Bring a pure state to the five-term canonical form.
 
@@ -367,17 +383,16 @@ def acin_decompose(psi) -> CanonicalResult:
     every critical point of both singular-value branches on the A-row
     sphere (see :func:`_critical_points`) is built into a candidate and
     checked by its reconstruction residual.  Returns the valid
-    decomposition with alpha in [0, pi], ties broken by larger l0 then
-    smaller alpha.
+    decomposition with alpha in [0, pi] that comes first by larger l0,
+    then smaller alpha, then larger l1, l2, l3 and l4 (see :func:`_pick`).
     """
     psi = states.check_pure(psi)
-    spectra = qcore._reduced_spectra(psi)
+    spectra = qcore._reduced_spectra(psi[None])[0]
     product_slots = [slot for slot in range(3) if spectra[slot, 1] <= _PRODUCT_EIG_TOL]
     if product_slots:
         special = _biseparable_candidates(psi, product_slots)
         if special:
-            special.sort(key=lambda r: (-r.params.lambda0, r.params.alpha))
-            return special[0]
+            return _pick(special)
     n, branch, _ = _critical_points(psi.reshape(2, 2, 2))
     t = 0.5 * np.arccos(np.clip(n[:, 2], -1.0, 1.0))
     p = np.arctan2(n[:, 1], n[:, 0])
@@ -398,8 +413,7 @@ def acin_decompose(psi) -> CanonicalResult:
             "no canonical decomposition reached residual tolerance "
             f"{RESIDUAL_TOL}; this indicates a bug, the form is universal"
         )
-    results.sort(key=lambda r: (-r.params.lambda0, r.params.alpha))
-    return results[0]
+    return _pick(results)
 
 
 def local_unitary_invariants(psi) -> tuple[np.ndarray, float]:
@@ -408,5 +422,5 @@ def local_unitary_invariants(psi) -> tuple[np.ndarray, float]:
     Returns the three single-qubit reduced spectra (rows ordered A, B,
     C, each descending) and the three-tangle.
     """
-    psi = states.check_pure(psi)
-    return qcore._reduced_spectra(psi), classify._three_tangle(psi)
+    kets = states.check_pure(psi)[None]
+    return qcore._reduced_spectra(kets)[0], float(classify._three_tangle(kets)[0])

@@ -101,6 +101,7 @@ def _cmd_scan_family(args) -> int:
         phase_phi=args.phi,
         phase_gamma=args.gamma,
         phase_beta=args.beta,
+        rel_phase_ab=args.rel_phase_ab,
         tol=args.tol,
     )
     rows = scanner.scan_superposition_family(cfg)
@@ -168,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--rel-phase-ab", type=float, default=0.0, dest="rel_phase_ab")
     p.add_argument("--tol", type=float, default=criterion.BOUNDARY_TOL)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output")

@@ -71,17 +71,8 @@ def min_ghz_expectation_pure(psi) -> tuple[float, float]:
     aligning the two terms, so the minimum expectation is
     1/2 - (|c0| + |c7|)^2 / 2 at phi = arg(c7) - arg(c0).
     """
-    return _ghz_min_pure(states.check_pure(psi))
-
-
-def _ghz_min_pure(psi: np.ndarray) -> tuple[float, float]:
-    c0, c7 = psi[0], psi[7]
-    value = 0.5 - (abs(c0) + abs(c7)) ** 2 / 2.0
-    if abs(c0) < _PHASE_EPS or abs(c7) < _PHASE_EPS:
-        phi = 0.0  # any phase optimal; fixed by convention
-    else:
-        phi = float(np.angle(c7) - np.angle(c0))
-    return float(value), phi
+    verdict = _pure_verdict(states.check_pure(psi))
+    return verdict.ghz_min, verdict.ghz_opt_phi
 
 
 def min_w_expectation_pure(psi) -> tuple[float, float, float]:
@@ -90,16 +81,32 @@ def min_w_expectation_pure(psi) -> tuple[float, float, float]:
     The two phases independently align the three W-sector amplitudes,
     giving 2/3 - (|c1| + |c2| + |c4|)^2 / 3.
     """
-    return _w_min_pure(states.check_pure(psi))
+    verdict = _pure_verdict(states.check_pure(psi))
+    return verdict.w_min, verdict.w_opt_gamma, verdict.w_opt_beta
 
 
-def _w_min_pure(psi: np.ndarray) -> tuple[float, float, float]:
-    c1, c2, c4 = psi[1], psi[2], psi[4]
-    value = 2.0 / 3.0 - (abs(c1) + abs(c2) + abs(c4)) ** 2 / 3.0
-    ref = np.angle(c1) if abs(c1) > _PHASE_EPS else 0.0
-    gamma = float(np.angle(c2) - ref) if abs(c2) > _PHASE_EPS and abs(c1) > _PHASE_EPS else 0.0
-    beta = float(np.angle(c4) - ref) if abs(c4) > _PHASE_EPS and abs(c1) > _PHASE_EPS else 0.0
-    return float(value), gamma, beta
+def _squares(x: np.ndarray) -> np.ndarray:
+    # Python's ** (libm pow) can round x**2 one ulp away from numpy's x*x;
+    # squaring as the scalar closed forms always did keeps outputs stable
+    return np.array([v**2 for v in x.tolist()])
+
+
+def _pure_minima(kets: np.ndarray) -> tuple:
+    """Both pure-state minima with their phases on validated (N, 8) kets.
+
+    Arrays (N,) of ghz_min, ghz_opt_phi, w_min, w_opt_gamma and w_opt_beta,
+    in the order of :class:`CriterionVerdict`'s fields.  A phase whose
+    amplitudes vanish (below _PHASE_EPS) is 0 by convention.
+    """
+    mod = np.hypot(kets.real, kets.imag)  # rounds as scalar abs(); np.abs may not
+    arg = np.angle(kets)
+    ghz = 0.5 - _squares(mod[:, 0] + mod[:, 7]) / 2.0
+    w = 2.0 / 3.0 - _squares(mod[:, 1] + mod[:, 2] + mod[:, 4]) / 3.0
+    phased = mod > _PHASE_EPS
+    phi = np.where((mod[:, 0] >= _PHASE_EPS) & (mod[:, 7] >= _PHASE_EPS), arg[:, 7] - arg[:, 0], 0.0)
+    gamma = np.where(phased[:, 1] & phased[:, 2], arg[:, 2] - arg[:, 1], 0.0)
+    beta = np.where(phased[:, 1] & phased[:, 4], arg[:, 4] - arg[:, 1], 0.0)
+    return ghz, phi, w, gamma, beta
 
 
 def ghz_condition(p: states.AcinParams) -> bool:
@@ -118,14 +125,16 @@ def min_ghz_expectation_mixed(rho) -> tuple[float, float]:
     <GHZ(phi)|rho|GHZ(phi)> = (rho_00 + rho_77 + 2 Re(e^{i phi} rho_07))/2
     peaks at phi = -arg(rho_07).
     """
-    return _ghz_min(states.check_density_matrix(rho))
+    value, phi = _ghz_min(states.check_density_matrix(rho)[None])
+    return float(value[0]), float(phi[0])
 
 
-def _ghz_min(rho: np.ndarray) -> tuple[float, float]:
-    r07 = rho[0, 7]
-    value = 0.5 - (rho[0, 0].real + rho[7, 7].real + 2.0 * abs(r07)) / 2.0
-    phi = float(-np.angle(r07)) if abs(r07) > _PHASE_EPS else 0.0
-    return float(value), phi
+def _ghz_min(rhos: np.ndarray) -> tuple:
+    """GHZ minima and their phases, arrays (N,), of validated (N, 8, 8) matrices."""
+    r07 = rhos[:, 0, 7]
+    mod = np.hypot(r07.real, r07.imag)
+    value = 0.5 - (rhos[:, 0, 0].real + rhos[:, 7, 7].real + 2.0 * mod) / 2.0
+    return value, np.where(mod > _PHASE_EPS, -np.angle(r07), 0.0)
 
 
 def min_w_expectation_mixed(rho) -> tuple[float, float, float]:
@@ -183,7 +192,8 @@ def ghzw_criterion(rho) -> CriterionVerdict:
     if eigvals[-1] > 1.0 - 1e-12:
         psi = eigvecs[:, -1]
         return _pure_verdict(psi / np.linalg.norm(psi))
-    return CriterionVerdict(*_ghz_min(rho), *_w_min(rho))
+    value, phi = _ghz_min(rho[None])
+    return CriterionVerdict(float(value[0]), float(phi[0]), *_w_min(rho))
 
 
 def ghzw_criterion_pure(psi) -> CriterionVerdict:
@@ -192,4 +202,4 @@ def ghzw_criterion_pure(psi) -> CriterionVerdict:
 
 
 def _pure_verdict(psi: np.ndarray) -> CriterionVerdict:
-    return CriterionVerdict(*_ghz_min_pure(psi), *_w_min_pure(psi))
+    return CriterionVerdict(*(float(m[0]) for m in _pure_minima(psi[None])))

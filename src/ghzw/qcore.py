@@ -137,29 +137,23 @@ def partial_transpose(rho, cut) -> np.ndarray:
     return t.transpose(axes).reshape(rho.shape)
 
 
-#: axis orders putting one qubit's tensor slot first
-_SOLO_AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+#: basis indices of the solo-vs-pair matrices: psi[_SOLO_INDEX[slot]] is
+#: 2x4, rows indexing that qubit and columns the other two in order, so
+#: the matrix times its adjoint is that qubit's reduced state
+_SOLO_INDEX = np.stack(
+    [np.arange(8).reshape(2, 2, 2).transpose(axes).reshape(2, 4) for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+)
 
 
-def _solo_pair(psi: np.ndarray, slot: int) -> np.ndarray:
-    """2x4 matrix of a dim-8 ket across the cut of `slot` from the other two.
-
-    Rows index the solo qubit, so the matrix times its adjoint is that
-    qubit's reduced state.
-    """
-    return psi.reshape(2, 2, 2).transpose(_SOLO_AXES[slot]).reshape(2, 4)
-
-
-def _reduced_spectra(psi: np.ndarray) -> np.ndarray:
-    """Single-qubit reduced spectra of a validated dim-8 ket.
+def _reduced_spectra(kets: np.ndarray) -> np.ndarray:
+    """Single-qubit reduced spectra (N, 3, 2) of validated (N, 8) kets.
 
     Rows are qubits A, B, C, each descending, clipped to [0, 1].  They are
     the squared singular values of the solo-vs-pair matrices, so a
     product cut reads ~1e-32 rather than the ~1e-16 rounding floor of an
     eigensolve of the reduced state.
     """
-    mats = np.stack([_solo_pair(psi, slot) for slot in range(3)])
-    return np.clip(np.linalg.svd(mats, compute_uv=False) ** 2, 0.0, 1.0)
+    return np.clip(np.linalg.svd(kets[:, _SOLO_INDEX], compute_uv=False) ** 2, 0.0, 1.0)
 
 
 def hermitian_eigs(op, vectors: bool = False):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import classify, criterion, states
+from . import classify, criterion, qcore, states
 
 CSV_COLUMNS = (
     "a_sq",
@@ -74,37 +74,35 @@ class MixtureReport:
         return dict(self.__dict__)
 
 
-def family_state(a_sq: float, cfg: ScanConfig) -> np.ndarray:
-    """The superposition with |a|^2 = a_sq and the config's phases."""
-    a = np.sqrt(a_sq)
-    b = np.sqrt(1.0 - a_sq) * np.exp(1j * cfg.rel_phase_ab)
-    params = states.SuperpositionParams(
-        a=a, b=b, phi=cfg.phase_phi, gamma=cfg.phase_gamma, beta=cfg.phase_beta
-    )
-    return states.make_superposition(params)
+def family_state(a_sq, cfg: ScanConfig) -> np.ndarray:
+    """The superposition with |a|^2 = a_sq and the config's phases.
+
+    An array of a_sq gives one ket per entry, of shape a_sq.shape + (8,).
+    """
+    return _superpositions(a_sq, cfg.phase_phi, cfg.phase_gamma, cfg.phase_beta, cfg.rel_phase_ab)
+
+
+def _superpositions(a_sq, phi, gamma, beta, rel) -> np.ndarray:
+    """sqrt(a_sq) GHZ(phi) + sqrt(1 - a_sq) e^{i rel} W(gamma, beta), broadcast over the arguments."""
+    a_sq = np.asarray(a_sq, dtype=float)
+    a = np.sqrt(a_sq)[..., None]
+    b = (np.sqrt(1.0 - a_sq) * np.exp(1j * np.asarray(rel)))[..., None]
+    return a * states.make_ghz(phi) + b * states.make_w(gamma, beta)
 
 
 def scan_superposition_family(cfg: ScanConfig) -> list[ScanRow]:
-    """Sweep |a|^2 over [0, 1] and evaluate the criterion on each state."""
-    rows = []
-    for a_sq in np.linspace(0.0, 1.0, cfg.grid_points):
-        psi = family_state(float(a_sq), cfg)
-        verdict = criterion.ghzw_criterion_pure(psi)
-        report = classify.is_genuinely_entangled_pure(psi)
-        by_ghz = criterion.detects(verdict.ghz_min, cfg.tol)
-        by_w = criterion.detects(verdict.w_min, cfg.tol)
-        rows.append(
-            ScanRow(
-                a_sq=float(a_sq),
-                ghz_min=verdict.ghz_min,
-                w_min=verdict.w_min,
-                detected_by_ghz=by_ghz,
-                detected_by_w=by_w,
-                detected=by_ghz or by_w,
-                genuinely_entangled=report.genuinely_entangled,
-            )
-        )
-    return rows
+    """Sweep |a|^2 over [0, 1] and evaluate the criterion on each state.
+
+    The grid's kets are built, validated and evaluated as one (N, 8) batch.
+    """
+    grid = np.linspace(0.0, 1.0, cfg.grid_points)
+    kets = states.check_kets(family_state(grid, cfg))
+    ghz_min, _, w_min, _, _ = criterion._pure_minima(kets)
+    by_ghz = criterion.detects(ghz_min, cfg.tol)
+    by_w = criterion.detects(w_min, cfg.tol)
+    genuine = ~classify._biseparable(qcore._reduced_spectra(kets)).any(axis=1)
+    columns = (grid, ghz_min, w_min, by_ghz, by_w, by_ghz | by_w, genuine)
+    return [ScanRow(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 def _simplex_weights(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -113,6 +111,28 @@ def _simplex_weights(rng: np.random.Generator, n: int) -> np.ndarray:
         return np.array([1.0])
     cuts = np.sort(rng.random(n - 1))
     return np.diff(np.concatenate([[0.0], cuts, [1.0]]))
+
+
+#: mixtures built at once, which bounds the memory of a long run
+_MIXTURE_BLOCK = 512
+
+
+def _window_mixtures(seeds, n_components: int) -> np.ndarray:
+    """Density matrices (len(seeds), 8, 8) of random mixtures from the window.
+
+    Each mixture draws from default_rng(seed): its simplex weights, then
+    per component a_sq uniform in [1/3, 1/2] and the phases (phi, gamma,
+    beta, rel_phase_ab) uniform in [0, 2 pi).
+    """
+    weights, a_sq, phases = [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        weights.append(_simplex_weights(rng, n_components))
+        for _ in range(n_components):
+            a_sq.append(rng.uniform(1.0 / 3.0, 0.5))
+            phases.append(rng.uniform(0.0, 2.0 * np.pi, size=4))
+    kets = states.check_kets(_superpositions(np.array(a_sq), *np.transpose(phases)))
+    return states._mix(np.array(weights), kets.reshape(len(weights), n_components, 8))
 
 
 def sample_unwitnessed_mixtures(
@@ -125,44 +145,25 @@ def sample_unwitnessed_mixtures(
     """
     if n_mixtures < 1 or n_components < 1:
         raise ValueError("n_mixtures and n_components must be >= 1")
-    min_ghz = np.inf
-    min_w = np.inf
-    worst = -1
-    for idx in range(n_mixtures):
-        rng = np.random.default_rng(cfg.seed + idx)
-        components = []
-        for weight in _simplex_weights(rng, n_components):
-            a_sq = rng.uniform(1.0 / 3.0, 0.5)
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=4)
-            sub = ScanConfig(
-                grid_points=cfg.grid_points,
-                phase_phi=phases[0],
-                phase_gamma=phases[1],
-                phase_beta=phases[2],
-                rel_phase_ab=phases[3],
-                seed=cfg.seed,
-                tol=cfg.tol,
-            )
-            components.append((float(weight), family_state(a_sq, sub)))
-        rho = states.mix(components)
-        # mix() builds a valid density matrix from checked kets
-        ghz_min, _ = criterion._ghz_min(rho)
-        w_min, _, _ = criterion._w_min(rho)
-        if min(ghz_min, w_min) < min(min_ghz, min_w):
-            worst = idx
-        min_ghz = min(min_ghz, ghz_min)
-        min_w = min(min_w, w_min)
+    seeds = range(cfg.seed, cfg.seed + n_mixtures)
+    ghz_min, w_min = [], []
+    for start in range(0, n_mixtures, _MIXTURE_BLOCK):
+        # mixtures of checked kets are valid density matrices
+        rhos = _window_mixtures(seeds[start : start + _MIXTURE_BLOCK], n_components)
+        ghz_min.extend(criterion._ghz_min(rhos)[0].tolist())
+        w_min.extend(criterion._w_min(rho)[0] for rho in rhos)
+    min_ghz, min_w = min(ghz_min), min(w_min)
     return MixtureReport(
         n_mixtures=n_mixtures,
         n_components=n_components,
-        min_ghz_min=float(min_ghz),
-        max_ghz_violation=float(max(0.0, -min_ghz)),
-        min_w_min=float(min_w),
-        max_w_violation=float(max(0.0, -min_w)),
+        min_ghz_min=min_ghz,
+        max_ghz_violation=max(0.0, -min_ghz),
+        min_w_min=min_w,
+        max_w_violation=max(0.0, -min_w),
         all_unwitnessed=not (
             criterion.detects(min_ghz, cfg.tol) or criterion.detects(min_w, cfg.tol)
         ),
-        worst_mixture_index=worst,
+        worst_mixture_index=int(np.argmin(np.minimum(ghz_min, w_min))),
     )
 
 

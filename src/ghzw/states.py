@@ -81,6 +81,23 @@ def check_pure(psi) -> np.ndarray:
     return psi
 
 
+def check_kets(kets) -> np.ndarray:
+    """Validate an (N, 8) batch of kets as check_pure does one.
+
+    check_pure stays a separate scalar check: on one ket it is about
+    twice as fast as this one.
+    """
+    kets = np.asarray(kets, dtype=complex)
+    if kets.ndim != 2 or kets.shape[1] != 8:
+        raise ValueError(f"expected an (N, 8) batch of kets, got shape {kets.shape}")
+    if not np.all(np.isfinite(kets)):
+        raise ValueError("ket amplitudes must be finite")
+    norm_sq = np.einsum("ni,ni->n", kets.conj(), kets).real
+    if np.any(np.abs(norm_sq - 1.0) > NORM_TOL):
+        raise ValueError(f"state norm^2 deviates from 1 by more than {NORM_TOL}")
+    return kets
+
+
 def check_density_matrix(rho) -> np.ndarray:
     """Validate an 8x8 Hermitian, PSD, unit-trace matrix."""
     rho = qcore.as_operator(rho, dim=8)
@@ -93,20 +110,22 @@ def check_density_matrix(rho) -> np.ndarray:
     return rho
 
 
-def make_ghz(phi: float = 0.0) -> np.ndarray:
-    """(|000> + e^{i phi}|111>)/sqrt(2)."""
-    psi = np.zeros(8, dtype=complex)
-    psi[0] = 1.0 / SQRT2
-    psi[7] = np.exp(1j * phi) / SQRT2
+def make_ghz(phi=0.0) -> np.ndarray:
+    """(|000> + e^{i phi}|111>)/sqrt(2); an array of phases gives one ket per entry."""
+    phi = np.asarray(phi, dtype=float)
+    psi = np.zeros(phi.shape + (8,), dtype=complex)
+    psi[..., 0] = 1.0 / SQRT2
+    psi[..., 7] = np.exp(1j * phi) / SQRT2
     return psi
 
 
-def make_w(gamma: float = 0.0, beta: float = 0.0) -> np.ndarray:
-    """(|001> + e^{i gamma}|010> + e^{i beta}|100>)/sqrt(3)."""
-    psi = np.zeros(8, dtype=complex)
-    psi[1] = 1.0 / SQRT3
-    psi[2] = np.exp(1j * gamma) / SQRT3
-    psi[4] = np.exp(1j * beta) / SQRT3
+def make_w(gamma=0.0, beta=0.0) -> np.ndarray:
+    """(|001> + e^{i gamma}|010> + e^{i beta}|100>)/sqrt(3); phases broadcast as make_ghz's."""
+    gamma, beta = np.asarray(gamma, dtype=float), np.asarray(beta, dtype=float)
+    psi = np.zeros(np.broadcast_shapes(gamma.shape, beta.shape) + (8,), dtype=complex)
+    psi[..., 1] = 1.0 / SQRT3
+    psi[..., 2] = np.exp(1j * gamma) / SQRT3
+    psi[..., 4] = np.exp(1j * beta) / SQRT3
     return psi
 
 
@@ -151,10 +170,20 @@ def mix(components) -> np.ndarray:
         raise ValueError("mixture weights must be nonnegative")
     if abs(weights.sum() - 1.0) > NORM_TOL:
         raise ValueError("mixture weights must sum to 1 within 1e-12")
-    rho = np.zeros((8, 8), dtype=complex)
-    for p, psi in components:
-        rho += p * qcore.outer(check_pure(psi))
-    return rho
+    kets = np.array([check_pure(psi) for _, psi in components])
+    return _mix(weights[None], kets[None])[0]
+
+
+def _mix(weights: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Density matrices (M, 8, 8) from (M, K) weights and (M, K, 8) checked kets.
+
+    Projectors are added in component order; an einsum would round differently.
+    """
+    projectors = kets[:, :, :, None] * kets[:, :, None, :].conj()
+    rhos = np.zeros((len(kets), 8, 8), dtype=complex)
+    for k in range(kets.shape[1]):
+        rhos += weights[:, k, None, None] * projectors[:, k]
+    return rhos
 
 
 # ---------------------------------------------------------------------------

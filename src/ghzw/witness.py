@@ -63,12 +63,12 @@ def lambda_bound_analytic(psi) -> float:
     solo qubit's reduced state; the overall bound is the max over the
     three cuts.
     """
-    return float(qcore._reduced_spectra(states.check_pure(psi))[:, 0].max())
+    return float(qcore._reduced_spectra(states.check_pure(psi)[None])[0, :, 0].max())
 
 
 def _ascend_cut(psi: np.ndarray, slot: int, rng: np.random.Generator, iters: int) -> float:
     """Alternating ascent of |<u (x) v|psi>|^2 over one solo-vs-pair cut."""
-    m = qcore._solo_pair(psi, slot)
+    m = psi[qcore._SOLO_INDEX[slot]]
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v /= np.linalg.norm(v)
     overlap = 0.0

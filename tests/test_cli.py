@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ghzw import cli, states
+import ghzw
+from ghzw import cli, scanner, states
 
 
 def run_json(capsys, argv):
@@ -93,6 +97,28 @@ def test_scan_family_stdout_json(capsys):
     code, rows = run_json(capsys, ["scan-family", "--grid", "11"])
     assert code == 0
     assert len(rows) == 11
+
+
+def test_scan_family_rel_phase_ab_reaches_the_scan(capsys, monkeypatch):
+    seen = []
+    scan = scanner.scan_superposition_family
+    monkeypatch.setattr(scanner, "scan_superposition_family", lambda cfg: seen.append(cfg) or scan(cfg))
+    argv = ["scan-family", "--grid", "41", "--phi", "0.4", "--gamma", "-1.2", "--beta", "2.9", "--rel-phase-ab", "1.7"]
+    code, rows = run_json(capsys, argv)
+    assert code == 0
+    assert seen[0].rel_phase_ab == 1.7
+    cfg = scanner.ScanConfig(grid_points=41, phase_phi=0.4, phase_gamma=-1.2, phase_beta=2.9, rel_phase_ab=1.7)
+    assert rows == [row.to_dict() for row in scan(cfg)]
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = os.path.dirname(os.path.dirname(ghzw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["analyze", "--builtin", "xi"]
+    out = subprocess.run([sys.executable, "-m", "ghzw", *argv], env=env, capture_output=True, text=True)
+    assert out.returncode == 0
+    assert cli.run(argv) == 0
+    assert out.stdout == capsys.readouterr().out
 
 
 def test_mixtures_subcommand(capsys):

@@ -42,7 +42,7 @@ def test_verdict_and_scan_row_agree_at_window_edge(monkeypatch):
     psi = scanner.family_state(0.5 + 5e-13, cfg)
     verdict = criterion.ghzw_criterion_pure(psi)
     assert -criterion.BOUNDARY_TOL < verdict.ghz_min < 0.0
-    monkeypatch.setattr(scanner, "family_state", lambda a_sq, cfg: psi)
+    monkeypatch.setattr(scanner, "family_state", lambda a_sq, cfg: np.tile(psi, (len(a_sq), 1)))
     for row in scanner.scan_superposition_family(cfg):
         assert row.ghz_min == verdict.ghz_min
         assert row.detected_by_ghz == verdict.detected_by_ghz

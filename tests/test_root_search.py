@@ -77,3 +77,22 @@ def test_planted_states_decompose(psi):
     spectra_t, tangle_t = canonical.local_unitary_invariants(target)
     assert np.max(np.abs(spectra - spectra_t)) <= 1e-8
     assert abs(tangle - tangle_t) <= 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lams=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+    alpha=st.sampled_from([0.0, np.pi, 1.1]),
+    frame_seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2),
+)
+def test_tied_l0_picks_the_same_representative_in_every_frame(lams, alpha, frame_seeds):
+    # with l0 = 0 every representative ties on l0 (and alpha = 0); the
+    # remaining lambdas decide, so the frame cannot
+    lams = np.array(lams) / np.linalg.norm(lams)
+    psi = states.make_acin(states.AcinParams(0.0, *lams, alpha=alpha))
+    base = canonical.acin_decompose(psi).params
+    for frame_seed in frame_seeds:
+        frame = unitary_group.rvs(2, size=3, random_state=frame_seed)
+        moved = canonical.acin_decompose(canonical.LocalUnitaries(*frame).apply(psi)).params
+        assert np.max(np.abs(moved.lambdas - base.lambdas)) <= 1e-7
+        assert abs(moved.alpha - base.alpha) <= 1e-7
