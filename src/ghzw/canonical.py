@@ -37,6 +37,7 @@ RESIDUAL_TOL = 1e-8
 _AMP_EPS = 1e-10
 _ALPHA_SLACK = 1e-9
 _TIE_TOL = 1e-9  # keys of two representatives this close tie
+_UNITARY_TOL = 1e-10  # largest entry of |u^dag u - 1| of a local unitary
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ class LocalUnitaries:
 
     def __post_init__(self):
         for u in (self.u_a, self.u_b, self.u_c):
-            if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
-                raise ValueError("local unitaries must be unitary within 1e-10")
+            if np.max(np.abs(u.conj().T @ u - np.eye(2))) > _UNITARY_TOL:
+                raise ValueError(f"local unitaries must be unitary within {_UNITARY_TOL}")
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         t = np.einsum(
@@ -302,7 +303,7 @@ def _candidate_result(psi: np.ndarray, d: np.ndarray, u_a, u_b, u_c) -> Canonica
     fixed, alpha, (d_a, d_b, d_c) = _phase_fix(d)
     amps = fixed.reshape(8)[list(states.ACIN_SUPPORT)]
     lams = np.hypot(amps.real, amps.imag)  # rounds as scalar abs(); np.abs may not
-    alpha = 0.0 if lams[1] <= _AMP_EPS else float(np.mod(alpha, 2.0 * np.pi))
+    alpha = float(np.mod(alpha, 2.0 * np.pi))
     if alpha > 2.0 * np.pi - _ALPHA_SLACK:
         alpha = 0.0
     if alpha > np.pi + _ALPHA_SLACK:
@@ -311,7 +312,7 @@ def _candidate_result(psi: np.ndarray, d: np.ndarray, u_a, u_b, u_c) -> Canonica
     norm = np.linalg.norm(lams)
     if norm == 0.0:
         return None
-    lams = np.clip(lams / norm, 0.0, None)
+    lams = lams / norm
     lams = lams / np.linalg.norm(lams)
     try:
         params = states.AcinParams(*lams, alpha=min(alpha, np.pi))
@@ -396,18 +397,8 @@ def acin_decompose(psi) -> CanonicalResult:
     n, branch, _ = _critical_points(psi.reshape(2, 2, 2))
     t = 0.5 * np.arccos(np.clip(n[:, 2], -1.0, 1.0))
     p = np.arctan2(n[:, 1], n[:, 0])
-    results: list[CanonicalResult] = []
-    for tk, pk, bk in zip(t, p, branch):
-        built = _build_candidate(psi, float(tk), float(pk), int(bk))
-        if built is None:
-            continue
-        if any(
-            np.allclose(built.params.lambdas, r.params.lambdas, atol=1e-7)
-            and abs(built.params.alpha - r.params.alpha) < 1e-6
-            for r in results
-        ):
-            continue
-        results.append(built)
+    built = (_build_candidate(psi, float(tk), float(pk), int(bk)) for tk, pk, bk in zip(t, p, branch))
+    results = [r for r in built if r is not None]
     if not results:
         raise DecompositionError(
             "no canonical decomposition reached residual tolerance "

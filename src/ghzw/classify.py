@@ -110,4 +110,5 @@ def ppt_min_eigenvalue(rho, cut) -> float:
 
 
 def _ppt_min_eigenvalue(rho: np.ndarray, cut) -> float:
-    return float(qcore.hermitian_eigs(qcore.partial_transpose(rho, cut))[0])
+    """ppt_min_eigenvalue of a checked rho; its partial transpose keeps rho's Hermitian slack."""
+    return float(np.linalg.eigvalsh(qcore._hermitian_part(qcore._partial_transpose(rho, cut)))[0])

@@ -143,10 +143,7 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_ppt(args) -> int:
-    if getattr(args, "rho", None):
-        rho = _load_rho(args.rho)
-    else:
-        rho = qcore.outer(_load_pure(args))
+    rho = _load_rho(args.rho) if args.rho else qcore.outer(_load_pure(args))
     _emit({cut: classify._ppt_min_eigenvalue(rho, cut) for cut in classify.CUTS}, args)
     return 0
 
@@ -160,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="criterion verdict and classification")
     _add_state_flags(p)
     p.add_argument("--rho", help="path to a JSON density-matrix file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=classify.DEFAULT_BISEP_TOL)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_analyze)
 
@@ -214,10 +211,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -24,6 +24,7 @@ W_SECTOR = (1, 2, 4)  # basis indices |001>, |010>, |100>
 #: amplitudes and coherences below this carry no phase: the optimal
 #: phase is then fixed to 0 by convention
 _PHASE_EPS = 1e-15
+_RANK_ONE_TOL = 1e-12  # a density matrix with top eigenvalue this close to 1 is rank 1
 
 
 def detects(value: float, tol: float = BOUNDARY_TOL) -> bool:
@@ -188,8 +189,8 @@ def ghzw_criterion(rho) -> CriterionVerdict:
     Rank-1 inputs are routed through the exact pure-state closed forms.
     """
     rho = states.check_density_matrix(rho)
-    eigvals, eigvecs = qcore.hermitian_eigs(rho, vectors=True)
-    if eigvals[-1] > 1.0 - 1e-12:
+    eigvals, eigvecs = np.linalg.eigh(qcore._hermitian_part(rho))
+    if eigvals[-1] > 1.0 - _RANK_ONE_TOL:
         psi = eigvecs[:, -1]
         return _pure_verdict(psi / np.linalg.norm(psi))
     value, phi = _ghz_min(rho[None])

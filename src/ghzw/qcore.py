@@ -18,7 +18,7 @@ ALLOWED_DIMS = (2, 4, 8)
 #: qubit labels A, B, C map to tensor slots 0, 1, 2
 QUBIT_SLOTS = {"A": 0, "B": 1, "C": 2}
 
-HERMITICITY_TOL = 1e-10
+HERMITICITY_TOL = 1e-10  # largest |op - op^H| entry of a Hermitian operator or density matrix
 
 
 def qubit_slot(label) -> int:
@@ -41,7 +41,7 @@ def as_ket(amps, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"ket dimension must be one of {ALLOWED_DIMS}, got {ket.size}")
     if dim is not None and ket.size != dim:
         raise ValueError(f"expected dimension {dim}, got {ket.size}")
-    if not np.all(np.isfinite(ket.view(float))):
+    if not np.isfinite(ket).all():
         raise ValueError("ket amplitudes must be finite")
     return ket
 
@@ -55,7 +55,7 @@ def as_operator(entries, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"operator dimension must be one of {ALLOWED_DIMS}, got {op.shape[0]}")
     if dim is not None and op.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {op.shape[0]}")
-    if not np.all(np.isfinite(op.view(float))):
+    if not np.isfinite(op).all():
         raise ValueError("operator entries must be finite")
     return op
 
@@ -97,10 +97,6 @@ def outer(x) -> np.ndarray:
     return np.outer(x, x.conj())
 
 
-def _n_qubits(dim: int) -> int:
-    return {2: 1, 4: 2, 8: 3}[dim]
-
-
 def partial_trace(rho, keep) -> np.ndarray:
     """Single-qubit reduced operator of a three-qubit operator.
 
@@ -124,8 +120,12 @@ def partial_transpose(rho, cut) -> np.ndarray:
     convention is: cut 'A' (slot 0) transposes the first qubit factor,
     'B'/'C' (slot 1 or 2) the second.
     """
-    rho = as_operator(rho)
-    n = _n_qubits(rho.shape[0])
+    return _partial_transpose(as_operator(rho), cut)
+
+
+def _partial_transpose(rho: np.ndarray, cut) -> np.ndarray:
+    """partial_transpose of an operator already checked by as_operator."""
+    n = rho.shape[0].bit_length() - 1  # qubits
     if n == 1:
         return rho.T.copy()
     slot = qubit_slot(cut)
@@ -156,18 +156,27 @@ def _reduced_spectra(kets: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.svd(kets[:, _SOLO_INDEX], compute_uv=False) ** 2, 0.0, 1.0)
 
 
+def _hermitian_part(op: np.ndarray, what: str | None = None) -> np.ndarray:
+    """0.5 * (op + op^H), the matrix every eigensolve in the package hands LAPACK.
+
+    With `what`, op (through as_operator) is first tested Hermitian within
+    HERMITICITY_TOL, else ValueError names `what`; without it, op has passed
+    that test already, and symmetrising only removes the admitted slack.
+    """
+    if what is not None and np.max(np.abs(op - op.conj().T)) > HERMITICITY_TOL:
+        raise ValueError(f"{what} is not Hermitian within {HERMITICITY_TOL}")
+    return 0.5 * (op + op.conj().T)
+
+
 def hermitian_eigs(op, vectors: bool = False):
     """Eigendecomposition of a Hermitian operator by LAPACK (numpy.linalg.eigh).
 
-    Returns the eigenvalues sorted ascending, and with ``vectors=True``
-    also the matching eigenvector columns.  Non-Hermitian input (max
-    entry deviation above 1e-10) raises ValueError; a LAPACK failure to
-    converge raises numpy.linalg.LinAlgError.
+    The checked entry point: as_operator and the Hermiticity test run
+    here, so code that holds a checked matrix calls LAPACK on
+    _hermitian_part instead.  Returns the eigenvalues sorted ascending,
+    and with ``vectors=True`` also the matching eigenvector columns.
+    Non-Hermitian input raises ValueError; a LAPACK failure to converge
+    raises numpy.linalg.LinAlgError.
     """
-    op = as_operator(op)
-    if np.max(np.abs(op - op.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("operator is not Hermitian within 1e-10")
-    a = 0.5 * (op + op.conj().T)  # symmetrize away the admitted slack
-    if vectors:
-        return np.linalg.eigh(a)
-    return np.linalg.eigvalsh(a)
+    a = _hermitian_part(as_operator(op), "operator")
+    return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)

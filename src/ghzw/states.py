@@ -22,8 +22,9 @@ SQRT5 = np.sqrt(5.0)
 #: basis indices of the five-term generalized Schmidt support
 ACIN_SUPPORT = (0, 1, 2, 4, 7)
 
-NORM_TOL = 1e-12
-DM_TOL = 1e-10
+NORM_TOL = 1e-12  # slack of a ket's norm^2, of |a|^2 + |b|^2 and of mixture weights' sum
+DM_TOL = 1e-10  # slack of a density matrix's trace and lowest eigenvalue (Hermiticity: qcore)
+_ACIN_NORM_TOL = 1e-10  # slack of the canonical form's sum of lambda_i^2
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,8 @@ class AcinParams:
             raise ValueError("AcinParams entries must be finite")
         if np.any(lams < 0):
             raise ValueError("lambda_i must be nonnegative")
-        if abs(np.sum(lams**2) - 1.0) > 1e-10:
-            raise ValueError("sum of lambda_i^2 must equal 1 within 1e-10")
+        if abs(np.sum(lams**2) - 1.0) > _ACIN_NORM_TOL:
+            raise ValueError(f"sum of lambda_i^2 must equal 1 within {_ACIN_NORM_TOL}")
         if not (0.0 <= self.alpha <= np.pi):
             raise ValueError("alpha must lie in [0, pi]")
 
@@ -70,43 +71,45 @@ class SuperpositionParams:
 
     def __post_init__(self):
         if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > NORM_TOL:
-            raise ValueError("|a|^2 + |b|^2 must equal 1 within 1e-12")
+            raise ValueError(f"|a|^2 + |b|^2 must equal 1 within {NORM_TOL}")
 
 
 def check_pure(psi) -> np.ndarray:
-    """Validate a dim-8 unit-norm ket."""
-    psi = qcore.as_ket(psi, dim=8)
-    if abs(qcore.norm_sq(psi) - 1.0) > NORM_TOL:
-        raise ValueError(f"state norm^2 deviates from 1 by more than {NORM_TOL}")
-    return psi
+    """Validate one unit-norm ket of 8 amplitudes, in any shape: check_kets on a batch of one."""
+    psi = np.asarray(psi, dtype=complex)
+    return check_kets(psi.reshape(1, psi.size))[0]
 
 
 def check_kets(kets) -> np.ndarray:
-    """Validate an (N, 8) batch of kets as check_pure does one.
+    """Validate an (N, 8) batch of kets: shape, finiteness and unit norm, each once.
 
-    check_pure stays a separate scalar check: on one ket it is about
-    twice as fast as this one.
+    The package's one ket check.  Public entry points call it (or
+    check_pure) once; the kernels behind them check nothing again.
     """
     kets = np.asarray(kets, dtype=complex)
     if kets.ndim != 2 or kets.shape[1] != 8:
-        raise ValueError(f"expected an (N, 8) batch of kets, got shape {kets.shape}")
-    if not np.all(np.isfinite(kets)):
+        raise ValueError(f"kets must hold 8 amplitudes each, got shape {kets.shape}")
+    if not np.isfinite(kets).all():
         raise ValueError("ket amplitudes must be finite")
-    norm_sq = np.einsum("ni,ni->n", kets.conj(), kets).real
-    if np.any(np.abs(norm_sq - 1.0) > NORM_TOL):
+    norm_sq = (kets * kets.conj()).real.sum(axis=1)
+    if (np.abs(norm_sq - 1.0) > NORM_TOL).any():
         raise ValueError(f"state norm^2 deviates from 1 by more than {NORM_TOL}")
     return kets
 
 
 def check_density_matrix(rho) -> np.ndarray:
-    """Validate an 8x8 Hermitian, PSD, unit-trace matrix."""
+    """Validate an 8x8 Hermitian, PSD, unit-trace matrix and return it unchanged.
+
+    The package's one density-matrix check: shape and finiteness
+    (qcore.as_operator), Hermiticity, trace and spectrum, each once.
+    Code given its result checks nothing again.
+    """
     rho = qcore.as_operator(rho, dim=8)
-    if np.max(np.abs(rho - rho.conj().T)) > DM_TOL:
-        raise ValueError("density matrix is not Hermitian within 1e-10")
+    sym = qcore._hermitian_part(rho, "density matrix")
     if abs(np.trace(rho).real - 1.0) > DM_TOL:
-        raise ValueError("density matrix trace deviates from 1 by more than 1e-10")
-    if qcore.hermitian_eigs(rho)[0] < -DM_TOL:
-        raise ValueError("density matrix has an eigenvalue below -1e-10")
+        raise ValueError(f"density matrix trace deviates from 1 by more than {DM_TOL}")
+    if np.linalg.eigvalsh(sym)[0] < -DM_TOL:
+        raise ValueError(f"density matrix has an eigenvalue below {-DM_TOL}")
     return rho
 
 
@@ -169,7 +172,7 @@ def mix(components) -> np.ndarray:
     if np.any(weights < 0):
         raise ValueError("mixture weights must be nonnegative")
     if abs(weights.sum() - 1.0) > NORM_TOL:
-        raise ValueError("mixture weights must sum to 1 within 1e-12")
+        raise ValueError(f"mixture weights must sum to 1 within {NORM_TOL}")
     kets = np.array([check_pure(psi) for _, psi in components])
     return _mix(weights[None], kets[None])[0]
 

@@ -24,7 +24,7 @@ class Witness:
     lambda_const: float
 
     def __post_init__(self):
-        states.check_pure(self.reference)
+        object.__setattr__(self, "reference", states.check_pure(self.reference))
         if not 0.0 <= self.lambda_const <= 1.0:
             raise ValueError("lambda_const must lie in [0, 1]")
 
@@ -112,5 +112,4 @@ def lambda_bound_stochastic(psi, seed: int, restarts: int = 32, iters: int = 500
 
 def custom_witness(psi) -> Witness:
     """Witness with reference psi and the analytic biseparable bound."""
-    psi = states.check_pure(psi)
     return Witness(psi, lambda_bound_analytic(psi))
