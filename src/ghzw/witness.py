@@ -3,12 +3,13 @@
 The constant Lambda is the maximum squared overlap between the
 reference state and the biseparable set (states product across at least
 one bipartition).  Two independent routes compute it: a closed form via
-reduced-state eigenvalues, and a seeded alternating-ascent search over
-biseparable product states.
+reduced-state eigenvalues, and a seeded search that runs all its
+alternating ascents over biseparable product states as one array batch.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,48 +67,55 @@ def lambda_bound_analytic(psi) -> float:
     return float(qcore._reduced_spectra(states.check_pure(psi)[None])[0, :, 0].max())
 
 
-def _ascend_cut(psi: np.ndarray, slot: int, rng: np.random.Generator, iters: int) -> float:
-    """Alternating ascent of |<u (x) v|psi>|^2 over one solo-vs-pair cut."""
-    m = psi[qcore._SOLO_INDEX[slot]]
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    overlap = 0.0
+def _unit(x: np.ndarray) -> np.ndarray:
+    """Columns x (K, n, 1) over their norms, each rounded as np.linalg.norm; zero columns stay zero."""
+    norm = np.sqrt(sum(part.transpose(0, 2, 1) @ part for part in (x.real, x.imag)))
+    return x / np.where(norm == 0.0, 1.0, norm)
+
+
+def _ascend(mats: np.ndarray, starts: np.ndarray, iters: int) -> np.ndarray:
+    """Overlaps (K,) of alternating ascents of |<u (x) v|m>|^2, one per cut matrix.
+
+    Ascent k climbs on mats[k] (2x4) from the ket starts[k]: u <- m v*, then
+    v* <- m^H u, each normalised, until its gain falls below 1e-15 or `iters`
+    steps pass; a stopped ascent stays frozen.  A vanishing norm leaves zero
+    columns, so that ascent ends at overlap 0 without a division by zero.
+    """
+    overlap = np.zeros(len(mats))
+    live = np.ones(len(mats), dtype=bool)
+    adj = mats.conj().transpose(0, 2, 1)
+    m_vbar = mats @ _unit(starts.conj()[..., None])
     for _ in range(iters):
-        u = m @ v.conj()
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
+        u = _unit(m_vbar)
+        m_vbar = mats @ _unit(adj @ u)
+        new = np.abs(u.conj().transpose(0, 2, 1) @ m_vbar)[:, 0, 0] ** 2
+        gain = new - overlap
+        overlap = np.where(live, new, overlap)
+        live &= gain >= 1e-15
+        if not live.any():
             break
-        u /= nu
-        v = (m.conj().T @ u).conj()
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            break
-        v /= nv
-        new = abs(np.vdot(u, m @ v.conj())) ** 2
-        if new - overlap < 1e-15:
-            overlap = new
-            break
-        overlap = new
     return overlap
 
 
 def lambda_bound_stochastic(psi, seed: int, restarts: int = 32, iters: int = 500) -> float:
     """Seeded hill-climbing estimate of the biseparable overlap bound.
 
-    Each restart alternates exact conditional optima between the solo
-    ket and the pair ket (power iteration on the cut's Gram matrix);
-    restarts cycle over the three cuts with per-restart seeds derived
-    as seed + restart index.
+    Restart r draws from default_rng(seed + r) one start ket per
+    solo-vs-pair cut; all 3 * restarts ascents run as one batch, each with
+    its own stop rule, and the bound is the largest overlap reached.  The
+    stacked products make the BLAS calls of one ascent alone, so the bound
+    agrees with running them one at a time to within 1e-15, in practice
+    bit for bit.  seed must be >= 0; restarts and iters must be >= 1.
     """
+    seed, restarts, iters = operator.index(seed), operator.index(restarts), operator.index(iters)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
     psi = states.check_pure(psi)
-    best = 0.0
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        for slot in range(3):
-            best = max(best, _ascend_cut(psi, slot, rng, iters))
-    return best
+    draws = np.stack([np.random.default_rng(seed + r).standard_normal((3, 2, 4)) for r in range(restarts)])
+    starts = (draws[:, :, 0] + 1j * draws[:, :, 1]).reshape(-1, 4)
+    return float(_ascend(np.tile(psi[qcore._SOLO_INDEX], (restarts, 1, 1)), starts, iters).max())
 
 
 def custom_witness(psi) -> Witness:

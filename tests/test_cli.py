@@ -66,6 +66,17 @@ def test_lambda_stochastic_cross_check(capsys):
     assert abs(payload["lambda_stochastic"] - payload["lambda_analytic"]) < 1e-6
 
 
+def test_lambda_stochastic_seed_is_validated(capsys):
+    argv = ["lambda", "--builtin", "w", "--stochastic", "--restarts", "8", "--seed"]
+    assert cli.run([*argv, "-3"]) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer\n"
+    code, payload = run_json(capsys, [*argv, str(2**63 - 5)])
+    assert code == 0
+    assert abs(payload["lambda_stochastic"] - 2 / 3) < 1e-9
+    assert cli.run([*argv, "2.0"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
 def test_canonical_subcommand(capsys):
     code, payload = run_json(capsys, ["canonical", "--builtin", "ghz"])
     assert code == 0

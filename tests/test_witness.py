@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzw import qcore, states, witness
 
@@ -70,6 +72,137 @@ def test_lambda_bound_stochastic_deterministic():
 def test_lambda_bound_stochastic_validates_budget():
     with pytest.raises(ValueError):
         witness.lambda_bound_stochastic(states.make_ghz(0.0), seed=1, restarts=0)
+
+
+def test_lambda_bound_stochastic_validates_seed():
+    w = states.make_w(0.0, 0.0)
+    # a negative seed is named before the (here invalid) state is looked at
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        witness.lambda_bound_stochastic(np.ones(8), seed=-3)
+    # numpy integers become Python ints, so seed + restart index cannot wrap
+    big = witness.lambda_bound_stochastic(w, seed=np.int64(2**63 - 5), restarts=8)
+    assert big == witness.lambda_bound_stochastic(w, seed=2**63 - 5, restarts=8)
+    assert abs(big - 2 / 3) < 1e-9
+    for bad in ({"seed": 2.0}, {"seed": 1, "restarts": 2.0}, {"seed": 1, "iters": 1.5}):
+        with pytest.raises(TypeError):
+            witness.lambda_bound_stochastic(w, **bad)
+
+
+def _ascend_cut(psi, slot, rng, iters):
+    """The one-ascent-at-a-time loop the batched kernel replaced, kept as its reference."""
+    m = psi[qcore._SOLO_INDEX[slot]]
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v /= np.linalg.norm(v)
+    overlap = 0.0
+    for _ in range(iters):
+        u = m @ v.conj()
+        nu = np.linalg.norm(u)
+        if nu == 0.0:
+            break
+        u /= nu
+        v = (m.conj().T @ u).conj()
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            break
+        v /= nv
+        new = abs(np.vdot(u, m @ v.conj())) ** 2
+        if new - overlap < 1e-15:
+            overlap = new
+            break
+        overlap = new
+    return overlap
+
+
+def _reference_overlaps(psi, seed, restarts, iters):
+    """Per-ascent overlaps, restart-major, from the scalar loop."""
+    overlaps = []
+    for r in range(restarts):
+        rng = np.random.default_rng(seed + r)
+        overlaps += [_ascend_cut(psi, slot, rng, iters) for slot in range(3)]
+    return np.array(overlaps)
+
+
+def _start_kets(seed, restarts):
+    """The start kets of the scalar loop, drawn the way it draws them."""
+    starts = []
+    for r in range(restarts):
+        rng = np.random.default_rng(seed + r)
+        starts += [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
+    return np.array(starts)
+
+
+def test_ascend_vanishing_norm_ends_only_its_ascent_at_zero():
+    # the W ket has no |011> amplitude, so the start ket |11> on qubits B, C
+    # is orthogonal to every row of qubit A's cut matrix: m v* is exactly 0
+    w = states.make_w(0.0, 0.0)
+    mats = np.tile(w[qcore._SOLO_INDEX], (2, 1, 1))
+    starts = _start_kets(3, 2)
+    starts[0] = qcore.basis_ket(4, 3)
+    with np.errstate(all="raise"):
+        got = witness._ascend(mats, starts, 500)
+        rest = witness._ascend(mats[1:], starts[1:], 500)
+    assert got[0] == 0.0
+    assert np.array_equal(got[1:], rest)
+    assert abs(got.max() - 2 / 3) < 1e-12
+
+
+def test_ascend_stopped_ascents_stay_frozen():
+    # cos|000> + sin|111> with cos^2 = 0.51: each cut's Gram matrix has
+    # eigenvalues 0.51 and 0.49, so the ascents creep up for hundreds of
+    # steps and stop at different ones; an ascent that went on stepping
+    # after its stop would still gain about 1e-14
+    t = np.arccos(np.sqrt(0.51))
+    psi = np.zeros(8, dtype=complex)
+    psi[0], psi[7] = np.cos(t), np.sin(t)
+    mats = np.tile(psi[qcore._SOLO_INDEX], (8, 1, 1))
+    got = witness._ascend(mats, _start_kets(5, 8), 5000)
+    assert np.max(np.abs(got - _reference_overlaps(psi, 5, 8, 5000))) <= 1e-15
+
+
+def test_ascend_iteration_cap_stops_every_ascent():
+    psi = states.haar_random_pure(41)
+    mats = np.tile(psi[qcore._SOLO_INDEX], (4, 1, 1))
+    starts = _start_kets(9, 4)
+    one = witness._ascend(mats, starts, 1)
+    assert np.max(np.abs(one - _reference_overlaps(psi, 9, 4, 1))) <= 1e-15
+    # the cap is what stopped them: every ascent still gains on a second step
+    assert np.all(witness._ascend(mats, starts, 2) - one >= 1e-15)
+
+
+def _product_ket(seed):
+    rng = np.random.default_rng(seed)
+    qubits = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    ket = np.einsum("i,j,k->ijk", *qubits).reshape(8)
+    return ket / np.linalg.norm(ket)
+
+
+def _zeroed_ket(seed, keep):
+    ket = states.haar_random_pure(seed) * np.array(keep)
+    return ket / np.linalg.norm(ket)
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+_KETS = st.one_of(
+    _SEEDS.map(states.haar_random_pure),
+    st.sampled_from([states.make_ghz(0.0), states.make_w(0.0, 0.0), states.make_xi()]),
+    _SEEDS.map(_product_ket),
+    _SEEDS.map(lambda s: _random_biseparable(np.random.default_rng(s))),
+    st.builds(_zeroed_ket, _SEEDS, st.lists(st.booleans(), min_size=8, max_size=8).filter(any)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    psi=_KETS,
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    restarts=st.integers(min_value=1, max_value=8),
+    iters=st.sampled_from([1, 2, 5, 500]),
+)
+def test_lambda_bound_stochastic_matches_scalar_reference(psi, seed, restarts, iters):
+    got = witness.lambda_bound_stochastic(psi, seed, restarts=restarts, iters=iters)
+    assert abs(got - _reference_overlaps(psi, seed, restarts, iters).max()) <= 1e-15
+    analytic = witness.lambda_bound_analytic(psi)
+    assert analytic - 1e-9 <= witness.lambda_bound_stochastic(psi, seed) <= analytic + 1e-12
 
 
 def _random_biseparable(rng):
