@@ -244,84 +244,74 @@ def _critical_points(tens: np.ndarray):
     return n, branch, index
 
 
-# phase-equation rows over x = (a0, a1, b0, b1, c0, c1): the local Z
-# rotations add a_qA + b_qB + c_qC to the amplitude phase at each slot
-_PHASE_ROWS = {
-    (0, 0, 0): np.array([1.0, 0, 1, 0, 1, 0]),
-    (0, 1, 0): np.array([1.0, 0, 0, 1, 1, 0]),
-    (1, 0, 0): np.array([0.0, 1, 1, 0, 1, 0]),
-    (1, 1, 1): np.array([0.0, 1, 0, 1, 0, 1]),
-    (0, 0, 1): np.array([1.0, 0, 1, 0, 0, 1]),
-}
+# coefficients of the support phases (000, 001, 010, 100, 111) in alpha;
+# local Z rotations shift the phase at slot (qA, qB, qC) by a_qA + b_qB + c_qC,
+# which this combination cancels
+_ALPHA_COEF = np.array([-2.0, 1.0, 1.0, 1.0, -1.0])
 
 
-def _phase_fix(d: np.ndarray):
-    """Z rotations making the 000/010/100/111 amplitudes real nonnegative.
+def _phase_fix(amps: np.ndarray):
+    """Alpha and the Z-rotation diagonals that make 000/010/100/111 real nonnegative.
 
-    The leftover phase on |001> is the canonical-form alpha; when some
-    pinned amplitude vanishes the spare phase freedom clears alpha too.
+    amps are the five support amplitudes (000, 001, 010, 100, 111).  The
+    phase left on |001> is alpha = arg d001 - 2 arg d000 + arg d010 +
+    arg d100 - arg d111, taken into [0, 2 pi); when a pinned amplitude
+    vanishes its free phase is spent on setting alpha to 0, and alpha is 0
+    when d001 itself vanishes.
     """
-    pinned = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
-    sig = [slot for slot in pinned if abs(d[slot]) > _AMP_EPS]
-    rows = [_PHASE_ROWS[slot] for slot in sig]
-    targets = [-np.angle(d[slot]) for slot in sig]
-    # any subset of the pinned rows is linearly independent, and stays so
-    # with the |001> row added unless all four pinned rows are present;
-    # with spare freedom the |001> phase is cleared too
-    if abs(d[0, 0, 1]) > _AMP_EPS and len(sig) < 4:
-        rows = rows + [_PHASE_ROWS[(0, 0, 1)]]
-        targets = targets + [-np.angle(d[0, 0, 1])]
-    if rows:
-        x, *_ = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)
-    else:
-        x = np.zeros(6)
-    d_a = np.diag(np.exp(1j * x[0:2]))
-    d_b = np.diag(np.exp(1j * x[2:4]))
-    d_c = np.diag(np.exp(1j * x[4:6]))
-    fixed = np.einsum("ax,by,cz,xyz->abc", d_a, d_b, d_c, d)
-    alpha = np.angle(fixed[0, 0, 1]) if abs(fixed[0, 0, 1]) > _AMP_EPS else 0.0
-    return fixed, float(alpha), (d_a, d_b, d_c)
+    ph = np.angle(amps)
+    alpha = float(ph @ _ALPHA_COEF)
+    idle = [k for k in (0, 2, 3, 4) if abs(amps[k]) <= _AMP_EPS]
+    if idle:
+        ph[idle[0]] -= alpha / _ALPHA_COEF[idle[0]]
+    if idle or abs(amps[1]) <= _AMP_EPS:
+        alpha = 0.0
+    p000, _, p010, p100, p111 = ph
+    zs = np.exp(1j * np.array([[0.0, p000 - p100], [0.0, p000 - p010], [-p000, p100 + p010 - 2.0 * p000 - p111]]))
+    return float(np.mod(alpha, 2.0 * np.pi)), zs
 
 
-def _build_candidate(psi: np.ndarray, t: float, p: float, branch: int) -> CanonicalResult | None:
-    u_a, t0, t1 = _blocks(psi, t, p)
-    left, sing, right_h = np.linalg.svd(t1)
-    q = right_h.conj().T
-    order = [1 - branch, branch]
-    u_b = left[:, order].conj().T
-    u_c = q[:, order].T
-    d = np.einsum("by,cz,ayz->abc", u_b, u_c, np.stack([t0, t1]))
-    return _candidate_result(psi, d, u_a, u_b, u_c)
+def _certified(psi: np.ndarray, amps: np.ndarray, u_a, u_b, u_c) -> CanonicalResult | None:
+    """The candidate of the frame (u_a, u_b, u_c), phase-fixed and certified.
 
-
-def _candidate_result(psi: np.ndarray, d: np.ndarray, u_a, u_b, u_c) -> CanonicalResult | None:
-    """Phase-fix d = (u_a x u_b x u_c) psi and read off a certified candidate.
-
-    None when alpha falls outside [0, pi] or the reconstruction residual
-    exceeds RESIDUAL_TOL.
+    amps are the support amplitudes of (u_a x u_b x u_c) psi: the lambdas
+    are their moduli and alpha follows from their phases (:func:`_phase_fix`).
+    The unitaries, Z rotations included, are applied once, for the
+    reconstruction residual.  None when alpha falls outside [0, pi] or the
+    residual exceeds RESIDUAL_TOL.
     """
-    fixed, alpha, (d_a, d_b, d_c) = _phase_fix(d)
-    amps = fixed.reshape(8)[list(states.ACIN_SUPPORT)]
-    lams = np.hypot(amps.real, amps.imag)  # rounds as scalar abs(); np.abs may not
-    alpha = float(np.mod(alpha, 2.0 * np.pi))
+    alpha, (z_a, z_b, z_c) = _phase_fix(amps)
     if alpha > 2.0 * np.pi - _ALPHA_SLACK:
         alpha = 0.0
     if alpha > np.pi + _ALPHA_SLACK:
         return None
-    unitaries = LocalUnitaries(d_a @ u_a, d_b @ u_b, d_c @ u_c)
+    lams = np.hypot(amps.real, amps.imag)  # rounds as scalar abs(); np.abs may not
     norm = np.linalg.norm(lams)
     if norm == 0.0:
         return None
-    lams = lams / norm
-    lams = lams / np.linalg.norm(lams)
     try:
-        params = states.AcinParams(*lams, alpha=min(alpha, np.pi))
+        params = states.AcinParams(*lams / norm, alpha=min(alpha, np.pi))
     except ValueError:
         return None
+    unitaries = LocalUnitaries(z_a[:, None] * u_a, z_b[:, None] * u_b, z_c[:, None] * u_c)
     residual = float(np.linalg.norm(unitaries.apply(psi) - states.make_acin(params)))
     if residual > RESIDUAL_TOL:
         return None
     return CanonicalResult(params=params, unitaries=unitaries, residual=residual)
+
+
+def _build_candidate(psi: np.ndarray, t: float, p: float, branch: int) -> CanonicalResult | None:
+    """The candidate at A-row (t, p), with the singular pair of T1 in branch order.
+
+    The singular bases of B and C turn T1 into diag(sing[order]), so only
+    the A=0 block's three support amplitudes need transforming.
+    """
+    u_a, t0, t1 = _blocks(psi, t, p)
+    left, sing, right_h = np.linalg.svd(t1)
+    order = [1 - branch, branch]
+    u_b, u_c = left[:, order].conj().T, right_h[order].conj()
+    d0 = u_b @ t0 @ u_c.T
+    return _certified(psi, np.array([d0[0, 0], d0[0, 1], d0[1, 0], *sing[order]]), u_a, u_b, u_c)
 
 
 _PRODUCT_EIG_TOL = 1e-15
@@ -357,8 +347,8 @@ def _biseparable_candidates(psi: np.ndarray, product_slots) -> list:
         units[slot] = _solo_unitary(solo)
         pair = [s for s in range(3) if s != slot]
         units[pair[0]], units[pair[1]] = w1, w2
-        d = np.einsum("ax,by,cz,xyz->abc", *units, tens)
-        built = _candidate_result(psi, d, *units)
+        support = LocalUnitaries(*units).apply(psi)[list(states.ACIN_SUPPORT)]
+        built = _certified(psi, support, *units)
         if built is not None:
             out.append(built)
     return out

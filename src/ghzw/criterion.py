@@ -3,8 +3,9 @@
 Each witness family is minimized over its phase parameters; a state is
 "detected" when some member of a family reaches an expectation below
 -BOUNDARY_TOL (see :func:`detects`).  Pure states admit closed-form
-minima; mixed states use a closed form for the GHZ family and, for the
-W family, the roots of a sextic that holds every stationary phase.
+minima; every density matrix, rank 1 included, takes the mixed route: a
+closed form for the GHZ family and, for the W family, the roots of a
+sextic that holds every stationary phase.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qcore, states
+from . import states
 
 #: minima within this band of zero are boundary cases: not detected, and
 #: not asserted either way in equivalence tests
@@ -24,7 +25,6 @@ W_SECTOR = (1, 2, 4)  # basis indices |001>, |010>, |100>
 #: amplitudes and coherences below this carry no phase: the optimal
 #: phase is then fixed to 0 by convention
 _PHASE_EPS = 1e-15
-_RANK_ONE_TOL = 1e-12  # a density matrix with top eigenvalue this close to 1 is rank 1
 
 
 def detects(value: float, tol: float = BOUNDARY_TOL) -> bool:
@@ -148,7 +148,8 @@ def min_w_expectation_mixed(rho) -> tuple[float, float, float]:
     so for fixed gamma the beta maximum is a modulus, leaving a
     one-dimensional profile in gamma.  Its maximum is a root of the slope,
     which squared is a sextic in e^{i gamma}, or the kink where the modulus
-    vanishes; every such point is evaluated.
+    vanishes; every such point is evaluated.  When m02 = m12 = 0 the
+    sextic vanishes identically and the maximum is at gamma = -arg(m01).
     """
     return _w_min(states.check_density_matrix(rho))
 
@@ -172,8 +173,9 @@ def _w_min(rho: np.ndarray) -> tuple[float, float, float]:
     im_b = np.array([b, 0.0, -np.conj(b)])
     sextic = np.convolve(np.convolve(im_a, im_a), mod_c) - np.pad(np.convolve(im_b, im_b), 1)
     # every root's angle is a candidate (one off the unit circle only adds a
-    # harmless one), as are gamma = 0 and the kink of |c| at c = 0
-    gammas = np.concatenate([[0.0, np.angle(-b)], np.angle(np.roots(sextic[::-1]))])
+    # harmless one), as are gamma = 0, the kink of |c| at c = 0 and the peak
+    # of the m01 term alone, the maximum when the sextic vanishes identically
+    gammas = np.concatenate([[0.0, np.angle(-b), -np.angle(m01)], np.angle(np.roots(sextic[::-1]))])
     gamma = float(gammas[int(np.argmax(profile(gammas)))])
     overlap = (s + float(profile(gamma))) / 3.0
     combined = m02 + m12 * np.exp(-1j * gamma)
@@ -186,13 +188,10 @@ def _w_min(rho: np.ndarray) -> tuple[float, float, float]:
 def ghzw_criterion(rho) -> CriterionVerdict:
     """Run both family minimizations on a density matrix.
 
-    Rank-1 inputs are routed through the exact pure-state closed forms.
+    Every input, rank 1 included, takes the mixed minimizations; on a
+    projector they agree with :func:`ghzw_criterion_pure` to rounding.
     """
     rho = states.check_density_matrix(rho)
-    eigvals, eigvecs = np.linalg.eigh(qcore._hermitian_part(rho))
-    if eigvals[-1] > 1.0 - _RANK_ONE_TOL:
-        psi = eigvecs[:, -1]
-        return _pure_verdict(psi / np.linalg.norm(psi))
     value, phi = _ghz_min(rho[None])
     return CriterionVerdict(float(value[0]), float(phi[0]), *_w_min(rho))
 

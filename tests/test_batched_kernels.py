@@ -90,7 +90,7 @@ def test_three_tangle_rounds_as_scalar_complex_products(kets):
 @settings(max_examples=40, deadline=None)
 @given(kets=ket_batches())
 def test_mixed_ghz_kernel_equals_its_wrappers(kets):
-    # full rank, so ghzw_criterion takes the mixed route
+    # ghzw_criterion runs this kernel on every density matrix
     rhos = 0.5 * kets[:, :, None] * kets[:, None, :].conj() + np.eye(8) / 16.0
     minima = criterion._ghz_min(rhos)
     for i, rho in enumerate(rhos):

@@ -80,8 +80,13 @@ def test_min_w_mixed_recovers_phases():
 
 
 def test_mixed_minima_match_pure_closed_forms_on_projectors():
-    for seed in range(8):
-        psi = states.haar_random_pure(seed + 100)
+    kets = [states.haar_random_pure(seed + 100) for seed in range(8)]
+    # zeroed amplitudes: the |100> slot alone, with |000> and with |011>
+    for seed, zeroed in enumerate(([4], [0, 4], [3, 4])):
+        psi = states.haar_random_pure(seed + 200)
+        psi[zeroed] = 0.0
+        kets.append(psi / np.linalg.norm(psi))
+    for psi in kets:
         rho = qcore.outer(psi)
         g_mixed, _ = criterion.min_ghz_expectation_mixed(rho)
         g_pure, _ = criterion.min_ghz_expectation_pure(psi)
@@ -89,6 +94,19 @@ def test_mixed_minima_match_pure_closed_forms_on_projectors():
         w_mixed, _, _ = criterion.min_w_expectation_mixed(rho)
         w_pure, _, _ = criterion.min_w_expectation_pure(psi)
         assert abs(w_mixed - w_pure) < 1e-9
+        verdict, pure = criterion.ghzw_criterion(rho), criterion.ghzw_criterion_pure(psi)
+        assert abs(verdict.ghz_min - pure.ghz_min) < 1e-10 and abs(verdict.w_min - pure.w_min) < 1e-9
+
+
+def test_mixed_w_min_where_the_sextic_vanishes():
+    # no |100> coherence (m02 = m12 = 0) leaves the sextic identically zero;
+    # the maximum overlap is then at gamma = -arg(m01) = pi/2
+    psi = np.array([1, 1, 1j, 0, 0, 0, 0, 0]) / np.sqrt(3)
+    rho = 0.5 * qcore.outer(psi) + 0.5 * qcore.outer(np.eye(8)[4])
+    value, gamma, _ = criterion.min_w_expectation_mixed(rho)
+    assert abs(value - 5 / 18) < 1e-12
+    assert abs(gamma - np.pi / 2) < 1e-12
+    assert criterion.ghzw_criterion(rho).w_min == value
 
 
 def test_mixture_of_undetected_states_stays_nonnegative():
