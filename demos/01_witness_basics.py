@@ -7,7 +7,7 @@ against a seeded stochastic hill climb.
 
 import numpy as np
 
-from ghzw import qcore, states, witness
+from ghzw import states, witness
 
 ghz = states.make_ghz(0.0)
 w = states.make_w(0.0, 0.0)
@@ -16,7 +16,7 @@ xi = states.make_xi()
 print("== witness expectations ==")
 wg = witness.ghz_witness(0.0)
 ww = witness.w_witness(0.0, 0.0)
-for name, psi in [("GHZ", ghz), ("W", w), ("xi", xi), ("|000>", qcore.basis_ket(8, 0))]:
+for name, psi in [("GHZ", ghz), ("W", w), ("xi", xi), ("|000>", np.eye(8)[0])]:
     print(
         f"{name:>6}:  <W_GHZ> = {witness.expectation_pure(wg, psi):+.6f}   "
         f"<W_W> = {witness.expectation_pure(ww, psi):+.6f}"

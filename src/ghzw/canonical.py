@@ -315,6 +315,7 @@ def _build_candidate(psi: np.ndarray, t: float, p: float, branch: int) -> Canoni
 
 
 _PRODUCT_EIG_TOL = 1e-15
+_SCHMIDT_FLOOR = 1e-14  # pair Schmidt values s1 <= this * s0 are rounding, taken as 0
 
 
 def _solo_unitary(u: np.ndarray) -> np.ndarray:
@@ -327,7 +328,9 @@ def _biseparable_candidates(psi: np.ndarray, product_slots) -> list:
 
     The pair state's Schmidt values (s0 >= s1) give the max-l0
     representative: the pair block becomes [[s0-s1, e], [e, 0]] with
-    e = sqrt(s0*s1), and the solo qubit is rotated to |0>.
+    e = sqrt(s0*s1), and the solo qubit is rotated to |0>.  An s1 at the
+    rounding level of s0 is taken as 0: its square root would put ~1e-8
+    on lambdas that are exactly 0.
     """
     tens = psi.reshape(2, 2, 2)
     out = []
@@ -338,6 +341,8 @@ def _biseparable_candidates(psi: np.ndarray, product_slots) -> list:
         chi = np.tensordot(solo.conj(), tens, axes=(0, slot))
         left, sing, right_h = np.linalg.svd(chi)
         s0, s1 = sing
+        if s1 <= _SCHMIDT_FLOOR * s0:
+            s1 = 0.0
         lam0, e = s0 - s1, np.sqrt(s0 * s1)
         target = np.array([[lam0, e], [e, 0.0]])
         t_left, _, t_right_h = np.linalg.svd(target)

@@ -27,10 +27,10 @@ class EntanglementReport:
 
     def to_dict(self) -> dict:
         return {
-            "schmidt_by_cut": {k: list(v) for k, v in self.schmidt_by_cut.items()},
             "genuinely_entangled": self.genuinely_entangled,
             "biseparable_cuts": list(self.biseparable_cuts),
             "three_tangle": self.three_tangle,
+            "schmidt_by_cut": {k: list(v) for k, v in self.schmidt_by_cut.items()},
         }
 
 

@@ -86,12 +86,7 @@ def _cmd_analyze(args) -> int:
     psi = _load_pure(args)
     verdict = criterion.ghzw_criterion_pure(psi)
     report = classify.is_genuinely_entangled_pure(psi, tol=args.tol)
-    payload = verdict.to_dict()
-    payload["genuinely_entangled"] = report.genuinely_entangled
-    payload["biseparable_cuts"] = report.biseparable_cuts
-    payload["three_tangle"] = report.three_tangle
-    payload["schmidt_by_cut"] = {k: list(v) for k, v in report.schmidt_by_cut.items()}
-    _emit(payload, args)
+    _emit({**verdict.to_dict(), **report.to_dict()}, args)
     return 0
 
 

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,15 +187,7 @@ def rows_to_json(rows) -> str:
     # hand-rolled so floats appear as JSON numbers at 17 significant digits
     parts = []
     for row in rows:
-        fields = ", ".join(
-            f'"{col}": '
-            + (
-                format(v, ".17g")
-                if isinstance(v, float)
-                else ("true" if v is True else "false" if v is False else json.dumps(v))
-            )
-            for col, v in row.to_dict().items()
-        )
+        fields = ", ".join(f'"{col}": {_fmt(v)}' for col, v in row.to_dict().items())
         parts.append("{" + fields + "}")
     return "[" + ", ".join(parts) + "]"
 

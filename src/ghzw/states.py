@@ -23,7 +23,8 @@ SQRT5 = np.sqrt(5.0)
 ACIN_SUPPORT = (0, 1, 2, 4, 7)
 
 NORM_TOL = 1e-12  # slack of a ket's norm^2, of |a|^2 + |b|^2 and of mixture weights' sum
-DM_TOL = 1e-10  # slack of a density matrix's trace and lowest eigenvalue (Hermiticity: qcore)
+DM_TOL = 1e-10  # slack of a density matrix's trace and lowest eigenvalue
+HERMITICITY_TOL = 1e-10  # largest |rho - rho^H| entry of a density matrix
 _ACIN_NORM_TOL = 1e-10  # slack of the canonical form's sum of lambda_i^2
 
 
@@ -104,11 +105,12 @@ def check_density_matrix(rho) -> np.ndarray:
     (qcore.as_operator), Hermiticity, trace and spectrum, each once.
     Code given its result checks nothing again.
     """
-    rho = qcore.as_operator(rho, dim=8)
-    sym = qcore._hermitian_part(rho, "density matrix")
+    rho = qcore.as_operator(rho)
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+        raise ValueError(f"density matrix is not Hermitian within {HERMITICITY_TOL}")
     if abs(np.trace(rho).real - 1.0) > DM_TOL:
         raise ValueError(f"density matrix trace deviates from 1 by more than {DM_TOL}")
-    if np.linalg.eigvalsh(sym)[0] < -DM_TOL:
+    if np.linalg.eigvalsh(qcore._hermitian_part(rho))[0] < -DM_TOL:
         raise ValueError(f"density matrix has an eigenvalue below {-DM_TOL}")
     return rho
 

@@ -45,7 +45,7 @@ def w_witness(gamma: float = 0.0, beta: float = 0.0) -> Witness:
 
 def expectation(w: Witness, rho) -> float:
     """Tr(W rho) = lambda_const - <ref|rho|ref>."""
-    rho = qcore.as_operator(rho, dim=8)
+    rho = qcore.as_operator(rho)
     ref = w.reference
     return float(w.lambda_const - np.vdot(ref, rho @ ref).real)
 

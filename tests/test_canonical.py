@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from ghzw import canonical, qcore, states
+from ghzw import canonical, states
 
 SQRT2 = 1 / np.sqrt(2)
 
@@ -17,8 +17,8 @@ def test_local_unitaries_validation_and_apply():
     with pytest.raises(ValueError):
         canonical.LocalUnitaries(np.eye(2), np.eye(2), np.ones((2, 2)))
     lu = canonical.LocalUnitaries(np.eye(2), np.eye(2), np.array([[0, 1], [1, 0]]))
-    flipped = lu.apply(qcore.basis_ket(8, 0))
-    assert np.allclose(flipped, qcore.basis_ket(8, 1))
+    flipped = lu.apply(np.eye(8)[0])
+    assert np.allclose(flipped, np.eye(8)[1])
 
 
 def test_decompose_ghz():
@@ -36,10 +36,28 @@ def test_decompose_ghz_any_phase():
 
 
 def test_decompose_product_state():
-    result = canonical.acin_decompose(qcore.basis_ket(8, 0))
+    result = canonical.acin_decompose(np.eye(8)[0])
     assert abs(result.params.lambda0 - 1.0) < 1e-12
     assert np.all(result.params.lambdas[1:] < 1e-12)
     assert result.params.alpha == 0.0
+
+
+def test_fully_product_inputs_give_exact_zero_lambdas():
+    """Product across every cut, in random frames: l1..l4 are zero, not ~1e-8."""
+    rng = np.random.default_rng(23)
+    inputs = []
+    for _ in range(20):
+        for k in (1, 2, 4):  # l0 with one of l1, l2, l3: a product state
+            amps = np.zeros(8, dtype=complex)
+            amps[0], amps[k] = np.cos(rng.uniform(0.1, 1.4)), np.sin(rng.uniform(0.1, 1.4))
+            inputs.append(_scramble(amps / np.linalg.norm(amps), rng))
+        qubits = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        product = np.kron(np.kron(qubits[0], qubits[1]), qubits[2])
+        inputs.append(product / np.linalg.norm(product))
+    for psi in inputs:
+        result = canonical.acin_decompose(psi)
+        assert np.all(result.params.lambdas[1:] <= 1e-15), result.params.lambdas
+        assert result.residual <= 1e-14
 
 
 def test_decompose_xi_is_ghz_class_two_term():

@@ -43,7 +43,7 @@ def test_three_tangle_values():
     assert abs(classify.three_tangle(states.make_ghz(2.2)) - 1.0) < 1e-12
     assert classify.three_tangle(states.make_w(0.0, 0.0)) < 1e-12
     assert classify.three_tangle(states.make_w(1.0, 2.0)) < 1e-12
-    assert classify.three_tangle(qcore.basis_ket(8, 0)) == 0.0
+    assert classify.three_tangle(np.eye(8)[0]) == 0.0
     assert abs(classify.three_tangle(states.make_xi()) - 0.8) < 1e-12
 
 
@@ -70,7 +70,7 @@ def test_genuine_entanglement_reports():
     assert not report.genuinely_entangled
     assert report.biseparable_cuts == ["C"]
 
-    report = classify.is_genuinely_entangled_pure(qcore.basis_ket(8, 0))
+    report = classify.is_genuinely_entangled_pure(np.eye(8)[0])
     assert report.biseparable_cuts == ["A", "B", "C"]
     assert report.three_tangle == 0.0
 
@@ -91,7 +91,7 @@ def test_ppt_min_eigenvalue_bell_pair():
 def test_ppt_min_eigenvalue_trivial_cases():
     for cut in ("A", "B", "C"):
         assert abs(classify.ppt_min_eigenvalue(np.eye(8) / 8, cut) - 1 / 8) < 1e-12
-        assert abs(classify.ppt_min_eigenvalue(qcore.outer(qcore.basis_ket(8, 0)), cut)) < 1e-12
+        assert abs(classify.ppt_min_eigenvalue(qcore.outer(np.eye(8)[0]), cut)) < 1e-12
 
 
 def test_report_to_dict():

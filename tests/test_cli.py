@@ -25,6 +25,16 @@ def test_analyze_builtin_xi(capsys):
     assert payload["genuinely_entangled"] is True
 
 
+def test_analyze_payload_key_order(capsys):
+    """stdout lists the criterion's fields, then the entanglement report's, in this order"""
+    _, payload = run_json(capsys, ["analyze", "--builtin", "xi"])
+    assert list(payload) == [
+        "ghz_min", "ghz_opt_phi", "w_min", "w_opt_gamma", "w_opt_beta",
+        "detected_by_ghz", "detected_by_w", "detected",
+        "genuinely_entangled", "biseparable_cuts", "three_tangle", "schmidt_by_cut",
+    ]
+
+
 def test_analyze_superposition_window(capsys):
     code, payload = run_json(capsys, ["analyze", "--builtin", "superposition", "--a-sq", "0.4"])
     assert code == 0

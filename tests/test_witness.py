@@ -16,7 +16,7 @@ def test_ghz_witness_self_expectation():
 
 def test_ghz_witness_on_other_states():
     w = witness.ghz_witness(0.0)
-    assert abs(witness.expectation_pure(w, qcore.basis_ket(8, 0))) < 1e-12
+    assert abs(witness.expectation_pure(w, np.eye(8)[0])) < 1e-12
     assert abs(witness.expectation_pure(w, states.make_w(0.3, 0.8)) - 0.5) < 1e-12
 
 
@@ -26,7 +26,7 @@ def test_w_witness_expectations():
         assert abs(witness.expectation_pure(w, states.make_w(gamma, beta)) + 1 / 3) < 1e-12
     w = witness.w_witness(0.0, 0.0)
     assert abs(witness.expectation_pure(w, states.make_ghz(0.7)) - 2 / 3) < 1e-12
-    assert abs(witness.expectation_pure(w, qcore.basis_ket(8, 1)) - 1 / 3) < 1e-12
+    assert abs(witness.expectation_pure(w, np.eye(8)[1]) - 1 / 3) < 1e-12
 
 
 def test_expectation_matches_matrix_trace():
@@ -50,7 +50,7 @@ def test_lambda_bound_analytic_constants():
         phi, gamma, beta = rng.uniform(0, 2 * np.pi, size=3)
         assert abs(witness.lambda_bound_analytic(states.make_ghz(phi)) - 0.5) < 1e-12
         assert abs(witness.lambda_bound_analytic(states.make_w(gamma, beta)) - 2 / 3) < 1e-12
-    assert abs(witness.lambda_bound_analytic(qcore.basis_ket(8, 0)) - 1.0) < 1e-12
+    assert abs(witness.lambda_bound_analytic(np.eye(8)[0]) - 1.0) < 1e-12
     assert abs(witness.lambda_bound_analytic(states.make_xi()) - LAMBDA_BISEP_XI) < 1e-9
 
 
@@ -137,7 +137,7 @@ def test_ascend_vanishing_norm_ends_only_its_ascent_at_zero():
     w = states.make_w(0.0, 0.0)
     mats = np.tile(w[qcore._SOLO_INDEX], (2, 1, 1))
     starts = _start_kets(3, 2)
-    starts[0] = qcore.basis_ket(4, 3)
+    starts[0] = np.eye(4)[3]
     with np.errstate(all="raise"):
         got = witness._ascend(mats, starts, 500)
         rest = witness._ascend(mats[1:], starts[1:], 500)
