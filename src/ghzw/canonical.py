@@ -47,15 +47,10 @@ class LocalUnitaries:
     u_c: np.ndarray
 
     def __post_init__(self):
-        for u in (self.u_a, self.u_b, self.u_c):
-            if np.max(np.abs(u.conj().T @ u - np.eye(2))) > _UNITARY_TOL:
-                raise ValueError(f"local unitaries must be unitary within {_UNITARY_TOL}")
+        _check_unitary(np.array([self.u_a, self.u_b, self.u_c]))
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        t = np.einsum(
-            "ax,by,cz,xyz->abc", self.u_a, self.u_b, self.u_c, psi.reshape(2, 2, 2)
-        )
-        return t.reshape(8)
+        return _apply(np.array([[self.u_a, self.u_b, self.u_c]]), psi)[0]
 
 
 @dataclass(frozen=True)
@@ -69,14 +64,17 @@ class DecompositionError(RuntimeError):
     """Raised when no root branch reaches the residual tolerance."""
 
 
-def _blocks(psi: np.ndarray, t: float, p: float):
-    """A-side blocks after the A-unitary with second row (cos t, sin t e^{ip})."""
-    tens = psi.reshape(2, 2, 2)
-    v0, v1 = np.cos(t), np.sin(t) * np.exp(1j * p)
-    u_a = np.array([[np.conj(v1), -np.conj(v0)], [v0, v1]])
-    t0 = u_a[0, 0] * tens[0] + u_a[0, 1] * tens[1]
-    t1 = u_a[1, 0] * tens[0] + u_a[1, 1] * tens[1]
-    return u_a, t0, t1
+def _check_unitary(us: np.ndarray) -> None:
+    """Raise ValueError unless every 2x2 of the stack us is unitary within _UNITARY_TOL."""
+    if np.abs(np.swapaxes(us.conj(), -1, -2) @ us - np.eye(2)).max(initial=0.0) > _UNITARY_TOL:
+        raise ValueError(f"local unitaries must be unitary within {_UNITARY_TOL}")
+
+
+def _apply(frames: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """(u_a x u_b x u_c) psi, (K, 8), for frames (K, 3, 2, 2), one qubit at a time."""
+    t = (frames[:, 0] @ psi.reshape(2, 4)).reshape(-1, 2, 2, 2)
+    t = frames[:, 1, None] @ t
+    return (t @ np.swapaxes(frames[:, 2], 1, 2)[:, None]).reshape(-1, 8)
 
 
 # the Pauli basis (1, x, y, z): a Hermitian 2x2 X is sum_k tr(X P_k) P_k / 2
@@ -137,6 +135,8 @@ def _newton(form, n: np.ndarray, sgn: np.ndarray):
     length, index = np.full(len(n), np.inf), np.zeros(len(n))
     for _ in range(_NEWTON_STEPS):
         live = np.flatnonzero(length > _ROOT_TOL)
+        if not live.size:
+            break
         x, s = n[live], sgn[live, None]
         w = x @ dm.T + d
         r = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), _CONE_EPS)
@@ -248,128 +248,128 @@ def _critical_points(tens: np.ndarray):
 # local Z rotations shift the phase at slot (qA, qB, qC) by a_qA + b_qB + c_qC,
 # which this combination cancels
 _ALPHA_COEF = np.array([-2.0, 1.0, 1.0, 1.0, -1.0])
+_PINNED = np.array([0, 2, 3, 4])  # the slots made real nonnegative
+# the Z-rotation phases (a0, a1, b0, b1, c0, c1) in the support phases: a0 = b0 = 0,
+# a1 = p000 - p100, b1 = p000 - p010, c0 = -p000, c1 = p100 + p010 - 2 p000 - p111
+_Z_PHASES = np.array([[0] * 5, [1, 0, 0, -1, 0], [0] * 5, [1, 0, -1, 0, 0], [-1, 0, 0, 0, 0], [-2, 0, 1, 1, -1]]).T
+_SUPPORT = np.array(states.ACIN_SUPPORT)
 
 
 def _phase_fix(amps: np.ndarray):
-    """Alpha and the Z-rotation diagonals that make 000/010/100/111 real nonnegative.
+    """Alphas (K,) and Z-rotation diagonals (K, 3, 2) that make 000/010/100/111 real nonnegative.
 
-    amps are the five support amplitudes (000, 001, 010, 100, 111).  The
-    phase left on |001> is alpha = arg d001 - 2 arg d000 + arg d010 +
-    arg d100 - arg d111, taken into [0, 2 pi); when a pinned amplitude
-    vanishes its free phase is spent on setting alpha to 0, and alpha is 0
-    when d001 itself vanishes.
+    amps are K rows of the five support amplitudes (000, 001, 010, 100,
+    111).  The phase left on |001> is alpha = arg d001 - 2 arg d000 +
+    arg d010 + arg d100 - arg d111, taken into [0, 2 pi); when a pinned
+    amplitude vanishes its free phase is spent on setting alpha to 0, and
+    alpha is 0 when d001 itself vanishes.
     """
     ph = np.angle(amps)
-    alpha = float(ph @ _ALPHA_COEF)
-    idle = [k for k in (0, 2, 3, 4) if abs(amps[k]) <= _AMP_EPS]
-    if idle:
-        ph[idle[0]] -= alpha / _ALPHA_COEF[idle[0]]
-    if idle or abs(amps[1]) <= _AMP_EPS:
-        alpha = 0.0
-    p000, _, p010, p100, p111 = ph
-    zs = np.exp(1j * np.array([[0.0, p000 - p100], [0.0, p000 - p010], [-p000, p100 + p010 - 2.0 * p000 - p111]]))
-    return float(np.mod(alpha, 2.0 * np.pi)), zs
+    alpha = ph @ _ALPHA_COEF
+    small = np.abs(amps) <= _AMP_EPS
+    idle = small[:, _PINNED]
+    spent = idle.any(axis=1)
+    first = _PINNED[idle.argmax(axis=1)]  # the first vanishing pinned slot, where one is
+    shift = np.where(spent, alpha / _ALPHA_COEF[first], 0.0)  # of that slot's phase
+    alpha[spent | small[:, 1]] = 0.0
+    z_phases = ph @ _Z_PHASES - shift[:, None] * _Z_PHASES[first]
+    return np.mod(alpha, 2.0 * np.pi), np.exp(1j * z_phases).reshape(-1, 3, 2)
 
 
-def _certified(psi: np.ndarray, amps: np.ndarray, u_a, u_b, u_c) -> CanonicalResult | None:
-    """The candidate of the frame (u_a, u_b, u_c), phase-fixed and certified.
+def _read(psi: np.ndarray, frames: np.ndarray, amps: np.ndarray) -> CanonicalResult | None:
+    """The certified candidate that comes first, of K frames read at once.
 
-    amps are the support amplitudes of (u_a x u_b x u_c) psi: the lambdas
-    are their moduli and alpha follows from their phases (:func:`_phase_fix`).
-    The unitaries, Z rotations included, are applied once, for the
-    reconstruction residual.  None when alpha falls outside [0, pi] or the
-    residual exceeds RESIDUAL_TOL.
+    frames (K, 3, 2, 2) hold (u_a, u_b, u_c) and amps (K, 5) the support
+    amplitudes of each frame applied to psi: the lambdas are their moduli
+    and alpha follows from their phases (:func:`_phase_fix`).  A candidate
+    certifies when alpha falls in [0, pi], its lambdas pass the checks of
+    states.AcinParams and its reconstruction residual, Z rotations
+    included, is within RESIDUAL_TOL.  The winner is the first by the
+    order in the module docstring; keys within _TIE_TOL tie, so rounding
+    cannot choose between representatives that tie, as all do at l0 = 0.
+    Only the winner is built; None when no candidate certifies.
     """
-    alpha, (z_a, z_b, z_c) = _phase_fix(amps)
-    if alpha > 2.0 * np.pi - _ALPHA_SLACK:
-        alpha = 0.0
-    if alpha > np.pi + _ALPHA_SLACK:
-        return None
+    alpha, zs = _phase_fix(amps)
+    alpha[alpha > 2.0 * np.pi - _ALPHA_SLACK] = 0.0
     lams = np.hypot(amps.real, amps.imag)  # rounds as scalar abs(); np.abs may not
-    norm = np.linalg.norm(lams)
-    if norm == 0.0:
+    lams /= np.maximum(np.sqrt((lams * lams).sum(axis=1)), 1e-300)[:, None]  # all-zero rows fail the sum
+    # AcinParams' checks: >= is False on NaN, and an infinite entry fails the sum
+    ok = (alpha <= np.pi + _ALPHA_SLACK) & (lams >= 0.0).all(axis=1)
+    ok &= np.abs((lams * lams).sum(axis=1) - 1.0) <= states._ACIN_NORM_TOL
+    alpha = np.minimum(alpha, np.pi)
+    units = zs[..., None] * frames
+    _check_unitary(units)
+    target = np.zeros((len(lams), 8), dtype=complex)
+    target[:, _SUPPORT] = lams
+    target[:, 1] *= np.exp(1j * alpha)
+    residual = np.linalg.norm(_apply(units, psi) - target, axis=1)
+    live = np.flatnonzero(ok & (residual <= RESIDUAL_TOL))
+    if not live.size:
         return None
-    try:
-        params = states.AcinParams(*lams / norm, alpha=min(alpha, np.pi))
-    except ValueError:
-        return None
-    unitaries = LocalUnitaries(z_a[:, None] * u_a, z_b[:, None] * u_b, z_c[:, None] * u_c)
-    residual = float(np.linalg.norm(unitaries.apply(psi) - states.make_acin(params)))
-    if residual > RESIDUAL_TOL:
-        return None
-    return CanonicalResult(params=params, unitaries=unitaries, residual=residual)
+    for col in (-lams[:, 0], alpha, *-lams[:, 1:].T):
+        if live.size == 1:
+            break
+        live = live[col[live] <= col[live].min() + _TIE_TOL]
+    k = live[0]
+    params = states.AcinParams(*lams[k].tolist(), alpha=float(alpha[k]))
+    return CanonicalResult(params=params, unitaries=LocalUnitaries(*units[k]), residual=float(residual[k]))
 
 
-def _build_candidate(psi: np.ndarray, t: float, p: float, branch: int) -> CanonicalResult | None:
-    """The candidate at A-row (t, p), with the singular pair of T1 in branch order.
+def _critical_frames(psi: np.ndarray, n: np.ndarray, branch: np.ndarray):
+    """Frames (K, 3, 2, 2) and support amplitudes (K, 5) at the critical points n (K, 3).
 
-    The singular bases of B and C turn T1 into diag(sing[order]), so only
-    the A=0 block's three support amplitudes need transforming.
+    The A-row is v = (cos t, sin t e^{ip}), n its Bloch vector.  The
+    singular bases of B and C, in branch order, turn the A=1 block T1 into
+    diag(sing[order]), so only the A=0 block's three support amplitudes
+    need transforming.
     """
-    u_a, t0, t1 = _blocks(psi, t, p)
-    left, sing, right_h = np.linalg.svd(t1)
-    order = [1 - branch, branch]
-    u_b, u_c = left[:, order].conj().T, right_h[order].conj()
-    d0 = u_b @ t0 @ u_c.T
-    return _certified(psi, np.array([d0[0, 0], d0[0, 1], d0[1, 0], *sing[order]]), u_a, u_b, u_c)
+    t = 0.5 * np.arccos(np.clip(n[:, 2], -1.0, 1.0))
+    v0, v1 = np.cos(t), np.sin(t) * np.exp(1j * np.arctan2(n[:, 1], n[:, 0]))
+    u_a = np.array([[np.conj(v1), -np.conj(v0)], [v0, v1]]).transpose(2, 0, 1)
+    blocks = (u_a @ psi.reshape(2, 4)).reshape(-1, 2, 2, 2)
+    left, sing, right_h = np.linalg.svd(blocks[:, 1])
+    # branch 0 takes the singular pair in the order (smaller, larger)
+    flip = branch == 0
+    u_b = np.where(flip[:, None, None], left[:, :, ::-1], left).conj().swapaxes(1, 2)
+    u_c = np.where(flip[:, None, None], right_h[:, ::-1], right_h).conj()
+    d0 = u_b @ blocks[:, 0] @ u_c.swapaxes(1, 2)
+    amps = np.concatenate([d0.reshape(-1, 4)[:, :3], np.where(flip[:, None], sing[:, ::-1], sing)], axis=1)
+    return np.array([u_a, u_b, u_c]).swapaxes(0, 1), amps
 
 
 _PRODUCT_EIG_TOL = 1e-15
+# by solo slot: which of the (solo, first pair, second pair) frames qubits A, B and C take,
+# and which of the slots 001, 010 and 100 hold e, the ones with the solo qubit at 0
+_PLACE = np.array([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
+_PAIR_SLOTS = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
 _SCHMIDT_FLOOR = 1e-14  # pair Schmidt values s1 <= this * s0 are rounding, taken as 0
 
 
-def _solo_unitary(u: np.ndarray) -> np.ndarray:
-    """Unitary whose first row maps the single-qubit ket u to |0>."""
-    return np.array([[np.conj(u[0]), np.conj(u[1])], [-u[1], u[0]]])
-
-
-def _biseparable_candidates(psi: np.ndarray, product_slots) -> list:
-    """Direct construction for states product across some cut.
+def _biseparable_frames(psi: np.ndarray, slots: np.ndarray):
+    """Frames (S, 3, 2, 2) and support amplitudes (S, 5) of the direct construction, one per product cut.
 
     The pair state's Schmidt values (s0 >= s1) give the max-l0
-    representative: the pair block becomes [[s0-s1, e], [e, 0]] with
-    e = sqrt(s0*s1), and the solo qubit is rotated to |0>.  An s1 at the
-    rounding level of s0 is taken as 0: its square root would put ~1e-8
-    on lambdas that are exactly 0.
+    representative: the solo qubit is rotated to |0> and the pair block
+    becomes [[s0-s1, e], [e, 0]] with e = sqrt(s0*s1).  That block is
+    R diag(s0, s1) M^T for the reflection R = [[c, s], [s, -c]] and the
+    rotation M = [[c, -s], [s, c]], with c^2 = s0 / (s0 + s1) and
+    s^2 = s1 / (s0 + s1), so R and M follow the Schmidt bases.  An s1 at
+    the rounding level of s0 is taken as 0: its square root would put
+    ~1e-8 on lambdas that are exactly 0.
     """
-    tens = psi.reshape(2, 2, 2)
-    out = []
-    for slot in product_slots:
-        m = psi[qcore._SOLO_INDEX[slot]]
-        _, vecs = np.linalg.eigh(m @ m.conj().T)
-        solo = vecs[:, -1]
-        chi = np.tensordot(solo.conj(), tens, axes=(0, slot))
-        left, sing, right_h = np.linalg.svd(chi)
-        s0, s1 = sing
-        if s1 <= _SCHMIDT_FLOOR * s0:
-            s1 = 0.0
-        lam0, e = s0 - s1, np.sqrt(s0 * s1)
-        target = np.array([[lam0, e], [e, 0.0]])
-        t_left, _, t_right_h = np.linalg.svd(target)
-        w1 = t_left @ left.conj().T
-        w2 = (right_h.conj().T @ t_right_h).T
-        units = [None, None, None]
-        units[slot] = _solo_unitary(solo)
-        pair = [s for s in range(3) if s != slot]
-        units[pair[0]], units[pair[1]] = w1, w2
-        support = LocalUnitaries(*units).apply(psi)[list(states.ACIN_SUPPORT)]
-        built = _certified(psi, support, *units)
-        if built is not None:
-            out.append(built)
-    return out
-
-
-def _pick(results: list) -> CanonicalResult:
-    """The representative that comes first by the order in the module docstring.
-
-    Keys within _TIE_TOL tie, so rounding cannot choose between
-    representatives that tie, as all do at l0 = 0.
-    """
-    keys = np.array([[-r.params.lambda0, r.params.alpha, *-r.params.lambdas[1:]] for r in results])
-    live = np.arange(len(results))
-    for col in keys.T:
-        live = live[col[live] <= col[live].min() + _TIE_TOL]
-    return results[live[0]]
+    solo_left, solo_sing, solo_right_h = np.linalg.svd(psi[qcore._SOLO_INDEX[slots]], full_matrices=False)
+    # the pair state is solo^dag psi
+    left, sing, right_h = np.linalg.svd((solo_sing[:, :1] * solo_right_h[:, 0]).reshape(-1, 2, 2))
+    s0, s1 = sing[:, 0], sing[:, 1]
+    s1 = np.where(s1 <= _SCHMIDT_FLOOR * s0, 0.0, s1)
+    c, s = np.sqrt(s0 / (s0 + s1)), np.sqrt(s1 / (s0 + s1))
+    refl, rot = np.array([c, s, s, -c, c, -s, s, c]).T.reshape(-1, 2, 2, 2).swapaxes(0, 1)
+    # the solo frame's first row, solo^dag, maps the solo ket to |0>
+    ordered = np.array([solo_left.conj().swapaxes(1, 2), refl @ left.conj().swapaxes(1, 2), rot @ right_h.conj()])
+    amps = np.zeros((len(slots), 5))
+    amps[:, 0] = s0 - s1
+    amps[:, 1:4] = np.sqrt(s0 * s1)[:, None] * _PAIR_SLOTS[slots]  # the reader's residual checks these
+    return ordered.swapaxes(0, 1)[np.arange(len(slots))[:, None], _PLACE[slots]], amps
 
 
 def acin_decompose(psi) -> CanonicalResult:
@@ -377,29 +377,27 @@ def acin_decompose(psi) -> CanonicalResult:
 
     States product across a cut take a direct construction.  Otherwise
     every critical point of both singular-value branches on the A-row
-    sphere (see :func:`_critical_points`) is built into a candidate and
-    checked by its reconstruction residual.  Returns the valid
-    decomposition with alpha in [0, pi] that comes first by larger l0,
-    then smaller alpha, then larger l1, l2, l3 and l4 (see :func:`_pick`).
+    sphere (see :func:`_critical_points`) gives a candidate, and all are
+    certified by their reconstruction residuals at once.  Returns the
+    valid decomposition with alpha in [0, pi] that comes first by larger
+    l0, then smaller alpha, then larger l1, l2, l3 and l4 (see
+    :func:`_read`).
     """
     psi = states.check_pure(psi)
     spectra = qcore._reduced_spectra(psi[None])[0]
-    product_slots = [slot for slot in range(3) if spectra[slot, 1] <= _PRODUCT_EIG_TOL]
-    if product_slots:
-        special = _biseparable_candidates(psi, product_slots)
-        if special:
-            return _pick(special)
+    product_slots = np.flatnonzero(spectra[:, 1] <= _PRODUCT_EIG_TOL)
+    if product_slots.size:
+        result = _read(psi, *_biseparable_frames(psi, product_slots))
+        if result is not None:
+            return result
     n, branch, _ = _critical_points(psi.reshape(2, 2, 2))
-    t = 0.5 * np.arccos(np.clip(n[:, 2], -1.0, 1.0))
-    p = np.arctan2(n[:, 1], n[:, 0])
-    built = (_build_candidate(psi, float(tk), float(pk), int(bk)) for tk, pk, bk in zip(t, p, branch))
-    results = [r for r in built if r is not None]
-    if not results:
+    result = _read(psi, *_critical_frames(psi, n, branch))
+    if result is None:
         raise DecompositionError(
             "no canonical decomposition reached residual tolerance "
             f"{RESIDUAL_TOL}; this indicates a bug, the form is universal"
         )
-    return _pick(results)
+    return result
 
 
 def local_unitary_invariants(psi) -> tuple[np.ndarray, float]:

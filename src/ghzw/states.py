@@ -44,11 +44,11 @@ class AcinParams:
 
     def __post_init__(self):
         lams = self.lambdas
-        if not np.all(np.isfinite(lams)) or not np.isfinite(self.alpha):
+        if not np.isfinite(lams).all() or not np.isfinite(self.alpha):
             raise ValueError("AcinParams entries must be finite")
-        if np.any(lams < 0):
+        if (lams < 0).any():
             raise ValueError("lambda_i must be nonnegative")
-        if abs(np.sum(lams**2) - 1.0) > _ACIN_NORM_TOL:
+        if abs((lams**2).sum() - 1.0) > _ACIN_NORM_TOL:
             raise ValueError(f"sum of lambda_i^2 must equal 1 within {_ACIN_NORM_TOL}")
         if not (0.0 <= self.alpha <= np.pi):
             raise ValueError("alpha must lie in [0, pi]")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
+from test_root_search import planted_states
 
-from ghzw import canonical, states
+from ghzw import canonical, qcore, states
 
 SQRT2 = 1 / np.sqrt(2)
 
@@ -162,3 +165,153 @@ def test_local_unitary_invariants_shape():
     assert spectra.shape == (3, 2)
     assert np.allclose(spectra, 0.5, atol=1e-12)
     assert abs(tangle - 1.0) < 1e-12
+
+
+# The per-candidate reader that the array reader replaced, kept as its
+# reference: every critical point and product cut is built, phase-fixed
+# and certified one at a time, then the winner is picked from the list.
+
+
+def _ref_apply(units, psi):
+    return np.einsum("ax,by,cz,xyz->abc", *units, psi.reshape(2, 2, 2)).reshape(8)
+
+
+def _ref_phase_fix(amps):
+    ph = np.angle(amps)
+    alpha = float(ph @ canonical._ALPHA_COEF)
+    idle = [k for k in (0, 2, 3, 4) if abs(amps[k]) <= canonical._AMP_EPS]
+    if idle:
+        ph[idle[0]] -= alpha / canonical._ALPHA_COEF[idle[0]]
+    if idle or abs(amps[1]) <= canonical._AMP_EPS:
+        alpha = 0.0
+    p000, _, p010, p100, p111 = ph
+    zs = np.exp(1j * np.array([[0.0, p000 - p100], [0.0, p000 - p010], [-p000, p100 + p010 - 2.0 * p000 - p111]]))
+    return float(np.mod(alpha, 2.0 * np.pi)), zs
+
+
+def _ref_certified(psi, amps, units):
+    """(params, residual) of the frame units, or None when it does not certify."""
+    alpha, zs = _ref_phase_fix(amps)
+    if alpha > 2.0 * np.pi - canonical._ALPHA_SLACK:
+        alpha = 0.0
+    if alpha > np.pi + canonical._ALPHA_SLACK:
+        return None
+    lams = np.hypot(amps.real, amps.imag)
+    norm = np.linalg.norm(lams)
+    if norm == 0.0:
+        return None
+    try:
+        params = states.AcinParams(*lams / norm, alpha=min(alpha, np.pi))
+    except ValueError:
+        return None
+    units = canonical.LocalUnitaries(*[z[:, None] * u for z, u in zip(zs, units)])
+    residual = float(np.linalg.norm(_ref_apply((units.u_a, units.u_b, units.u_c), psi) - states.make_acin(params)))
+    return None if residual > canonical.RESIDUAL_TOL else (params, residual)
+
+
+def _ref_critical(psi, t, p, branch):
+    tens = psi.reshape(2, 2, 2)
+    v0, v1 = np.cos(t), np.sin(t) * np.exp(1j * p)
+    u_a = np.array([[np.conj(v1), -np.conj(v0)], [v0, v1]])
+    t0 = u_a[0, 0] * tens[0] + u_a[0, 1] * tens[1]
+    t1 = u_a[1, 0] * tens[0] + u_a[1, 1] * tens[1]
+    left, sing, right_h = np.linalg.svd(t1)
+    order = [1 - branch, branch]
+    u_b, u_c = left[:, order].conj().T, right_h[order].conj()
+    d0 = u_b @ t0 @ u_c.T
+    return _ref_certified(psi, np.array([d0[0, 0], d0[0, 1], d0[1, 0], *sing[order]]), (u_a, u_b, u_c))
+
+
+def _ref_biseparable(psi, slot):
+    m = psi[qcore._SOLO_INDEX[slot]]
+    solo = np.linalg.eigh(m @ m.conj().T)[1][:, -1]
+    left, (s0, s1), right_h = np.linalg.svd(np.tensordot(solo.conj(), psi.reshape(2, 2, 2), axes=(0, slot)))
+    if s1 <= canonical._SCHMIDT_FLOOR * s0:
+        s1 = 0.0
+    e = np.sqrt(s0 * s1)
+    t_left, _, t_right_h = np.linalg.svd(np.array([[s0 - s1, e], [e, 0.0]]))
+    units = [None] * 3
+    units[slot] = np.array([[np.conj(solo[0]), np.conj(solo[1])], [-solo[1], solo[0]]])
+    pair = [s for s in range(3) if s != slot]
+    units[pair[0]], units[pair[1]] = t_left @ left.conj().T, (right_h.conj().T @ t_right_h).T
+    return _ref_certified(psi, _ref_apply(units, psi)[list(states.ACIN_SUPPORT)], units)
+
+
+def _ref_pick(results):
+    keys = np.array([[-p.lambda0, p.alpha, *-p.lambdas[1:]] for p, _ in results])
+    live = np.arange(len(results))
+    for col in keys.T:
+        live = live[col[live] <= col[live].min() + canonical._TIE_TOL]
+    return results[live[0]]
+
+
+def _reference_decompose(psi):
+    """(params, residual) as the per-candidate reader picked them."""
+    psi = states.check_pure(psi)
+    spectra = qcore._reduced_spectra(psi[None])[0]
+    slots = [slot for slot in range(3) if spectra[slot, 1] <= canonical._PRODUCT_EIG_TOL]
+    special = [r for r in (_ref_biseparable(psi, slot) for slot in slots) if r is not None]
+    if special:
+        return _ref_pick(special)
+    n, branch, _ = canonical._critical_points(psi.reshape(2, 2, 2))
+    t = 0.5 * np.arccos(np.clip(n[:, 2], -1.0, 1.0))
+    p = np.arctan2(n[:, 1], n[:, 0])
+    built = (_ref_critical(psi, float(tk), float(pk), int(bk)) for tk, pk, bk in zip(t, p, branch))
+    return _ref_pick([r for r in built if r is not None])
+
+
+@settings(max_examples=80, deadline=None)
+@given(psi=st.one_of(st.integers(0, 10**6).map(states.haar_random_pure), planted_states()))
+def test_array_reader_picks_what_the_per_candidate_reader_picks(psi):
+    params, residual = _reference_decompose(psi)
+    result = canonical.acin_decompose(psi)
+    assert np.max(np.abs(result.params.lambdas - params.lambdas)) <= 1e-12
+    assert abs(result.params.alpha - params.alpha) <= 1e-11
+    assert result.residual <= max(2.0 * residual, 1e-14)
+
+
+def test_array_reader_matches_on_product_and_biseparable_inputs():
+    rng = np.random.default_rng(31)
+    for slot in range(3):
+        solo = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        pair = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        psi = np.moveaxis(np.multiply.outer(solo, pair), 0, slot).reshape(8)
+        for psi in (psi / np.linalg.norm(psi), _scramble(np.eye(8)[0], rng)):
+            params, _ = _reference_decompose(psi)
+            result = canonical.acin_decompose(psi)
+            assert np.max(np.abs(result.params.lambdas - params.lambdas)) <= 1e-12
+            assert abs(result.params.alpha - params.alpha) <= 1e-11
+
+
+def test_no_certified_candidate_raises(monkeypatch):
+    monkeypatch.setattr(canonical, "RESIDUAL_TOL", 0.0)
+    for psi in (states.haar_random_pure(3), states.make_w(0.0, 0.0)):
+        with pytest.raises(canonical.DecompositionError):
+            canonical.acin_decompose(psi)
+
+
+def test_reader_rejects_a_stack_with_one_non_unitary_frame():
+    psi = states.haar_random_pure(4)
+    frames = np.tile(np.eye(2, dtype=complex), (3, 3, 1, 1))
+    amps = np.tile(psi[list(states.ACIN_SUPPORT)], (3, 1))
+    assert canonical._read(psi, frames, amps) is None  # no frame certifies, none raises
+    frames[1, 2] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="unitary within"):
+        canonical._read(psi, frames, amps)
+
+
+def test_reader_never_picks_alpha_beyond_pi():
+    # the identity frame reads the planted form exactly (residual 0) with
+    # alpha = 4 and the larger l0; the reader must pass it over
+    lams = np.array([0.6, 0.2, 0.45, 0.35, 0.5]) / np.linalg.norm([0.6, 0.2, 0.45, 0.35, 0.5])
+    psi = states.make_acin(states.AcinParams(*lams, alpha=0.0))
+    psi[1] *= np.exp(4.0j)
+    found = canonical.acin_decompose(psi)
+    assert found.params.lambda0 < lams[0] - 0.1
+    u = found.unitaries
+    frames = np.array([[np.eye(2)] * 3, [u.u_a, u.u_b, u.u_c]])
+    amps = np.array([psi[list(states.ACIN_SUPPORT)], u.apply(psi)[list(states.ACIN_SUPPORT)]])
+    assert canonical._read(psi, frames[:1], amps[:1]) is None
+    result = canonical._read(psi, frames, amps)
+    assert result.params.alpha <= np.pi
+    assert np.max(np.abs(result.params.lambdas - found.params.lambdas)) <= 1e-12

@@ -4,7 +4,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 import ghzw
 from ghzw import cli, scanner, states
