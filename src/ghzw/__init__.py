@@ -23,7 +23,6 @@ from .criterion import (
 from .scanner import MixtureReport, ScanConfig, ScanRow, emit_table, sample_unwitnessed_mixtures, scan_superposition_family
 from .states import (
     AcinParams,
-    SuperpositionParams,
     haar_random_pure,
     make_acin,
     make_ghz,

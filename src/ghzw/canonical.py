@@ -173,14 +173,16 @@ def _det_zeros(tens: np.ndarray):
     qa, qc = np.linalg.det(a0), np.linalg.det(a1)
     qb = a0[0, 0] * a1[1, 1] + a1[0, 0] * a0[1, 1] - a0[0, 1] * a1[1, 0] - a1[0, 1] * a0[1, 0]
     disc = qb * qb - 4.0 * qa * qc
-    root = np.sqrt(complex(disc))
+    double = 4.0 * abs(disc) <= _TANGLE_EPS
+    # a rounding-level disc is a double root: its square root would move both zeros by ~1e-8
+    root = 0.0 if double else np.sqrt(complex(disc))
     q = -(qb + root) / 2.0 if (np.conj(qb) * root).real >= 0.0 else -(qb - root) / 2.0
     v = np.array([(qc, q), (q, qa)], dtype=complex)
     v = v[np.linalg.norm(v, axis=1) > 1e-150]
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     cross = np.conj(v[:, 0]) * v[:, 1]
     bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag, np.abs(v[:, 0]) ** 2 - np.abs(v[:, 1]) ** 2], 1)
-    return bloch, 4.0 * abs(disc) <= _TANGLE_EPS
+    return bloch, double
 
 
 def _seeds(form, n_fib: int, n_scales: int, n_dirs: int) -> np.ndarray:
@@ -252,7 +254,6 @@ _PINNED = np.array([0, 2, 3, 4])  # the slots made real nonnegative
 # the Z-rotation phases (a0, a1, b0, b1, c0, c1) in the support phases: a0 = b0 = 0,
 # a1 = p000 - p100, b1 = p000 - p010, c0 = -p000, c1 = p100 + p010 - 2 p000 - p111
 _Z_PHASES = np.array([[0] * 5, [1, 0, 0, -1, 0], [0] * 5, [1, 0, -1, 0, 0], [-1, 0, 0, 0, 0], [-2, 0, 1, 1, -1]]).T
-_SUPPORT = np.array(states.ACIN_SUPPORT)
 
 
 def _phase_fix(amps: np.ndarray):
@@ -299,10 +300,7 @@ def _read(psi: np.ndarray, frames: np.ndarray, amps: np.ndarray) -> CanonicalRes
     alpha = np.minimum(alpha, np.pi)
     units = zs[..., None] * frames
     _check_unitary(units)
-    target = np.zeros((len(lams), 8), dtype=complex)
-    target[:, _SUPPORT] = lams
-    target[:, 1] *= np.exp(1j * alpha)
-    residual = np.linalg.norm(_apply(units, psi) - target, axis=1)
+    residual = np.linalg.norm(_apply(units, psi) - states._acin_kets(lams, alpha), axis=1)
     live = np.flatnonzero(ok & (residual <= RESIDUAL_TOL))
     if not live.size:
         return None

@@ -40,33 +40,20 @@ def _load_pure(args) -> np.ndarray:
     if args.builtin == "xi":
         return states.make_xi()
     if args.builtin == "superposition":
-        if not 0.0 <= args.a_sq <= 1.0:
-            raise InputError("--a-sq must lie in [0, 1]")
-        params = states.SuperpositionParams(
-            a=np.sqrt(args.a_sq),
-            b=np.sqrt(1.0 - args.a_sq),
-            phi=args.phi,
-            gamma=args.gamma,
-            beta=args.beta,
-        )
-        return states.make_superposition(params)
+        return states.make_superposition(args.a_sq, args.phi, args.gamma, args.beta)
     if args.state:
-        try:
-            return states.load_state(args.state)
-        except FileNotFoundError as exc:
-            raise InputError(f"state file not found: {args.state}") from exc
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
-            raise InputError(f"malformed state file {args.state}: {exc}") from exc
+        return _load(states.load_state, args.state, "state")
     raise InputError("a state is required: pass --builtin or --state")
 
 
-def _load_rho(path: str) -> np.ndarray:
+def _load(load, path: str, what: str) -> np.ndarray:
+    """load(path), with a missing or malformed file reported as an InputError."""
     try:
-        return states.load_rho(path)
+        return load(path)
     except FileNotFoundError as exc:
-        raise InputError(f"density file not found: {path}") from exc
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
-        raise InputError(f"malformed density file {path}: {exc}") from exc
+        raise InputError(f"{what} file not found: {path}") from exc
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise InputError(f"malformed {what} file {path}: {exc}") from exc
 
 
 def _emit(payload, args) -> None:
@@ -79,7 +66,7 @@ def _emit(payload, args) -> None:
 
 def _cmd_analyze(args) -> int:
     if getattr(args, "rho", None):
-        rho = _load_rho(args.rho)
+        rho = _load(states.load_rho, args.rho, "density")
         verdict = criterion.ghzw_criterion(rho)
         _emit({"criterion": verdict.to_dict()}, args)
         return 0
@@ -138,7 +125,7 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_ppt(args) -> int:
-    rho = _load_rho(args.rho) if args.rho else qcore.outer(_load_pure(args))
+    rho = _load(states.load_rho, args.rho, "density") if args.rho else qcore.outer(_load_pure(args))
     _emit({cut: classify._ppt_min_eigenvalue(rho, cut) for cut in classify.CUTS}, args)
     return 0
 

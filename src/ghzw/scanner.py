@@ -78,15 +78,7 @@ def family_state(a_sq, cfg: ScanConfig) -> np.ndarray:
 
     An array of a_sq gives one ket per entry, of shape a_sq.shape + (8,).
     """
-    return _superpositions(a_sq, cfg.phase_phi, cfg.phase_gamma, cfg.phase_beta, cfg.rel_phase_ab)
-
-
-def _superpositions(a_sq, phi, gamma, beta, rel) -> np.ndarray:
-    """sqrt(a_sq) GHZ(phi) + sqrt(1 - a_sq) e^{i rel} W(gamma, beta), broadcast over the arguments."""
-    a_sq = np.asarray(a_sq, dtype=float)
-    a = np.sqrt(a_sq)[..., None]
-    b = (np.sqrt(1.0 - a_sq) * np.exp(1j * np.asarray(rel)))[..., None]
-    return a * states.make_ghz(phi) + b * states.make_w(gamma, beta)
+    return states.make_superposition(a_sq, cfg.phase_phi, cfg.phase_gamma, cfg.phase_beta, cfg.rel_phase_ab)
 
 
 def scan_superposition_family(cfg: ScanConfig) -> list[ScanRow]:
@@ -130,7 +122,7 @@ def _window_mixtures(seeds, n_components: int) -> np.ndarray:
         for _ in range(n_components):
             a_sq.append(rng.uniform(1.0 / 3.0, 0.5))
             phases.append(rng.uniform(0.0, 2.0 * np.pi, size=4))
-    kets = states.check_kets(_superpositions(np.array(a_sq), *np.transpose(phases)))
+    kets = states.check_kets(states.make_superposition(np.array(a_sq), *np.transpose(phases)))
     return states._mix(np.array(weights), kets.reshape(len(weights), n_components, 8))
 
 

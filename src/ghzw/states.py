@@ -22,7 +22,7 @@ SQRT5 = np.sqrt(5.0)
 #: basis indices of the five-term generalized Schmidt support
 ACIN_SUPPORT = (0, 1, 2, 4, 7)
 
-NORM_TOL = 1e-12  # slack of a ket's norm^2, of |a|^2 + |b|^2 and of mixture weights' sum
+NORM_TOL = 1e-12  # slack of a ket's norm^2 and of mixture weights' sum
 DM_TOL = 1e-10  # slack of a density matrix's trace and lowest eigenvalue
 HERMITICITY_TOL = 1e-10  # largest |rho - rho^H| entry of a density matrix
 _ACIN_NORM_TOL = 1e-10  # slack of the canonical form's sum of lambda_i^2
@@ -58,21 +58,6 @@ class AcinParams:
         return np.array(
             [self.lambda0, self.lambda1, self.lambda2, self.lambda3, self.lambda4]
         )
-
-
-@dataclass(frozen=True)
-class SuperpositionParams:
-    """Complex weights and phases of a GHZ/W superposition."""
-
-    a: complex
-    b: complex
-    phi: float = 0.0
-    gamma: float = 0.0
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > NORM_TOL:
-            raise ValueError(f"|a|^2 + |b|^2 must equal 1 within {NORM_TOL}")
 
 
 def check_pure(psi) -> np.ndarray:
@@ -135,26 +120,37 @@ def make_w(gamma=0.0, beta=0.0) -> np.ndarray:
 
 
 def make_acin(p: AcinParams) -> np.ndarray:
-    """Five-term canonical-form state from its parameters."""
-    psi = np.zeros(8, dtype=complex)
-    psi[0] = p.lambda0
-    psi[1] = p.lambda1 * np.exp(1j * p.alpha)
-    psi[2] = p.lambda2
-    psi[4] = p.lambda3
-    psi[7] = p.lambda4
+    """Five-term canonical-form state from its parameters: _acin_kets on a batch of one."""
+    return _acin_kets(p.lambdas, p.alpha)
+
+
+def _acin_kets(lams, alpha) -> np.ndarray:
+    """Five-term kets (..., 8) from lambdas (..., 5) and alphas (...), the phase e^{i alpha} on |001>."""
+    lams = np.asarray(lams, dtype=float)
+    psi = np.zeros(lams.shape[:-1] + (8,), dtype=complex)
+    psi[..., ACIN_SUPPORT] = lams
+    psi[..., 1] *= np.exp(1j * np.asarray(alpha))
     return psi
 
 
 def make_xi() -> np.ndarray:
     """The equal-weight five-term state that evades both witness families."""
-    psi = np.zeros(8, dtype=complex)
-    psi[list(ACIN_SUPPORT)] = 1.0 / SQRT5
-    return psi
+    return _acin_kets(np.full(5, 1.0 / SQRT5), 0.0)
 
 
-def make_superposition(s: SuperpositionParams) -> np.ndarray:
-    """a*GHZ(phi) + b*W(gamma, beta); unit norm since GHZ and W are orthogonal."""
-    return s.a * make_ghz(s.phi) + s.b * make_w(s.gamma, s.beta)
+def make_superposition(a_sq, phi=0.0, gamma=0.0, beta=0.0, rel_phase_ab=0.0) -> np.ndarray:
+    """sqrt(a_sq) GHZ(phi) + sqrt(1 - a_sq) e^{i rel_phase_ab} W(gamma, beta).
+
+    Unit norm, since GHZ and W are orthogonal.  Broadcasts over its
+    arguments: an array of a_sq gives kets of shape a_sq.shape + (8,).
+    Raises ValueError unless every a_sq lies in [0, 1].
+    """
+    a_sq = np.asarray(a_sq, dtype=float)
+    if not ((a_sq >= 0.0) & (a_sq <= 1.0)).all():
+        raise ValueError("a_sq must lie in [0, 1]")
+    a = np.sqrt(a_sq)[..., None]
+    b = (np.sqrt(1.0 - a_sq) * np.exp(1j * np.asarray(rel_phase_ab)))[..., None]
+    return a * make_ghz(phi) + b * make_w(gamma, beta)
 
 
 def haar_random_pure(seed: int) -> np.ndarray:
@@ -192,40 +188,30 @@ def _mix(weights: np.ndarray, kets: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON file formats (shared with the CLI)
+# JSON file formats (shared with the CLI): {"dims": [2, 2, 2]} plus the
+# "amplitudes" of a ket or the "matrix" of a density matrix, each entry an
+# [re, im] pair
 
 
-def state_to_dict(psi) -> dict:
-    psi = check_pure(psi)
-    return {"dims": [2, 2, 2], "amplitudes": [[z.real, z.imag] for z in psi]}
+def _parse_pairs(obj, key: str, shape: tuple, what: str) -> np.ndarray:
+    """The complex array of the given shape under obj[key], a nest of [re, im] pairs."""
+    dims = obj.get("dims") if isinstance(obj, dict) else None
+    if dims != [2, 2, 2]:
+        raise ValueError(f"{what} file dims must be [2, 2, 2], got {dims!r}")
+    pairs = np.array(obj.get(key))
+    if pairs.shape != shape + (2,) or pairs.dtype.kind not in "biuf":
+        size = " x ".join(map(str, shape))
+        raise ValueError(f"{what} file {key!r} must hold {size} [re, im] number pairs")
+    # a view of (re, im) float pairs as complex is exactly complex(re, im)
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 def state_from_dict(obj: dict) -> np.ndarray:
-    if obj.get("dims") != [2, 2, 2]:
-        raise ValueError(f"state file dims must be [2, 2, 2], got {obj.get('dims')!r}")
-    amps = obj.get("amplitudes")
-    if not isinstance(amps, list) or len(amps) != 8:
-        raise ValueError("state file must carry exactly 8 [re, im] amplitude pairs")
-    psi = np.array([complex(re, im) for re, im in amps])
-    return check_pure(psi)
-
-
-def rho_to_dict(rho) -> dict:
-    rho = check_density_matrix(rho)
-    return {
-        "dims": [2, 2, 2],
-        "matrix": [[[z.real, z.imag] for z in row] for row in rho],
-    }
+    return check_pure(_parse_pairs(obj, "amplitudes", (8,), "state"))
 
 
 def rho_from_dict(obj: dict) -> np.ndarray:
-    if obj.get("dims") != [2, 2, 2]:
-        raise ValueError(f"density file dims must be [2, 2, 2], got {obj.get('dims')!r}")
-    rows = obj.get("matrix")
-    if not isinstance(rows, list) or len(rows) != 8 or any(len(r) != 8 for r in rows):
-        raise ValueError("density file must carry an 8x8 matrix of [re, im] pairs")
-    rho = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return check_density_matrix(rho)
+    return check_density_matrix(_parse_pairs(obj, "matrix", (8, 8), "density"))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -247,17 +233,9 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def save_state(psi, path: str) -> None:
-    _atomic_write(path, json.dumps(state_to_dict(psi)))
-
-
 def load_state(path: str) -> np.ndarray:
     with open(path) as fh:
         return state_from_dict(json.load(fh))
-
-
-def save_rho(rho, path: str) -> None:
-    _atomic_write(path, json.dumps(rho_to_dict(rho)))
 
 
 def load_rho(path: str) -> np.ndarray:

@@ -9,6 +9,10 @@ import ghzw
 from ghzw import cli, scanner, states
 
 
+def write_state(path, psi):
+    path.write_text(json.dumps({"dims": [2, 2, 2], "amplitudes": [[z.real, z.imag] for z in psi]}))
+
+
 def run_json(capsys, argv):
     code = cli.run(argv)
     out = capsys.readouterr().out
@@ -43,7 +47,7 @@ def test_analyze_superposition_window(capsys):
 
 def test_analyze_state_file(tmp_path, capsys):
     path = tmp_path / "ghz.json"
-    states.save_state(states.make_ghz(1.3), str(path))
+    write_state(path, states.make_ghz(1.3))
     code, payload = run_json(capsys, ["analyze", "--state", str(path)])
     assert code == 0
     assert payload["detected_by_ghz"] is True
@@ -53,7 +57,7 @@ def test_analyze_state_file(tmp_path, capsys):
 def test_analyze_rho_file(tmp_path, capsys):
     path = tmp_path / "rho.json"
     rho = states.mix([(0.5, states.make_ghz(0.0)), (0.5, states.make_w(0.0, 0.0))])
-    states.save_rho(rho, str(path))
+    path.write_text(json.dumps({"dims": [2, 2, 2], "matrix": [[[z.real, z.imag] for z in row] for row in rho]}))
     code, payload = run_json(capsys, ["analyze", "--rho", str(path)])
     assert code == 0
     assert "criterion" in payload
@@ -164,7 +168,7 @@ def test_missing_state_is_input_error(capsys):
 
 def test_conflicting_state_flags(tmp_path):
     path = tmp_path / "s.json"
-    states.save_state(states.make_ghz(0.0), str(path))
+    write_state(path, states.make_ghz(0.0))
     assert cli.run(["analyze", "--builtin", "ghz", "--state", str(path)]) == 2
 
 
@@ -178,6 +182,10 @@ def test_malformed_state_file(tmp_path, capsys):
     assert cli.run(["analyze", "--state", str(path)]) == 2
     path.write_text(json.dumps({"dims": [2, 2, 2], "amplitudes": [[1.0, 0.0]] * 8}))
     assert cli.run(["analyze", "--state", str(path)]) == 2  # unnormalized
+    path.write_text("[1.0]")  # valid JSON that is not an object
+    assert cli.run(["analyze", "--state", str(path)]) == 2
+    path.write_text(json.dumps({"dims": [2, 2, 2], "amplitudes": [["1", "0"]] + [[0.0, 0.0]] * 7}))
+    assert cli.run(["analyze", "--state", str(path)]) == 2  # strings, not numbers
 
 
 def test_bad_a_sq_rejected():

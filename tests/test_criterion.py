@@ -112,8 +112,8 @@ def test_mixed_w_min_where_the_sextic_vanishes():
 def test_mixture_of_undetected_states_stays_nonnegative():
     rho = states.mix(
         [
-            (0.5, states.make_superposition(states.SuperpositionParams(np.sqrt(0.4), np.sqrt(0.6)))),
-            (0.5, states.make_superposition(states.SuperpositionParams(np.sqrt(0.45), np.sqrt(0.55), phi=0.3))),
+            (0.5, states.make_superposition(0.4)),
+            (0.5, states.make_superposition(0.45, phi=0.3)),
         ]
     )
     assert criterion.min_ghz_expectation_mixed(rho)[0] >= -1e-12
@@ -136,7 +136,7 @@ def test_verdict_on_ghz_projector():
 
 
 def test_verdict_in_fooling_window():
-    psi = states.make_superposition(states.SuperpositionParams(np.sqrt(0.4), np.sqrt(0.6)))
+    psi = states.make_superposition(0.4)
     verdict = criterion.ghzw_criterion(qcore.outer(psi))
     assert not verdict.detected
     assert abs(verdict.ghz_min - 0.1) < 1e-12

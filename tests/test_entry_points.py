@@ -1,5 +1,6 @@
 """Validation once per public entry point, one detection rule, atomic output."""
 
+import json
 import os
 import subprocess
 import sys
@@ -73,7 +74,8 @@ def test_cli_output_mode_follows_umask(tmp_path):
 
 def test_cli_ppt_validates_rho_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "rho.json"
-    states.save_rho(states.mix([(0.5, states.make_ghz()), (0.5, states.make_w())]), str(path))
+    rho = states.mix([(0.5, states.make_ghz()), (0.5, states.make_w())])
+    path.write_text(json.dumps({"dims": [2, 2, 2], "matrix": [[[z.real, z.imag] for z in row] for row in rho]}))
     calls = _counting(monkeypatch, "check_density_matrix")
     assert cli.run(["ppt", "--rho", str(path)]) == 0
     assert len(calls) == 1

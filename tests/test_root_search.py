@@ -96,3 +96,33 @@ def test_tied_l0_picks_the_same_representative_in_every_frame(lams, alpha, frame
         moved = canonical.acin_decompose(canonical.LocalUnitaries(*frame).apply(psi)).params
         assert np.max(np.abs(moved.lambdas - base.lambdas)) <= 1e-7
         assert abs(moved.alpha - base.alpha) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", [0])
+def test_w_class_planted_states_read_the_same_in_every_frame(seed):
+    # l4 = 0, or l0 and a second lambda 0, give a zero three-tangle:
+    # det M(v) = 0 has a double root there, and a root taken from the
+    # square root of a rounding-level discriminant lands ~1e-8 off, so the
+    # candidates at it certify near RESIDUAL_TOL or not at all; lambdas are
+    # drawn from a generator, not Hypothesis, whose equal boundary values
+    # fall on the symmetric strata instead
+    rng = np.random.default_rng(seed)
+    failed = []
+    for zeros in ({4}, {0, 1}, {0, 2}, {0, 3}, {0, 4}):
+        for alpha in (0.0, np.pi, None):
+            for _ in range(4):
+                lams = rng.uniform(0.2, 1.0, size=5)
+                lams[list(zeros)] = 0.0
+                a = rng.uniform(0.0, np.pi) if alpha is None else alpha
+                psi = states.make_acin(states.AcinParams(*(lams / np.linalg.norm(lams)), alpha=a))
+                frames = unitary_group.rvs(2, size=9, random_state=rng).reshape(3, 3, 2, 2)
+                results = [canonical.acin_decompose(canonical.LocalUnitaries(*f).apply(psi)) for f in frames]
+                base = results[0].params
+                for r in results:
+                    if (
+                        np.max(np.abs(r.params.lambdas - base.lambdas)) > 1e-7
+                        or abs(r.params.alpha - base.alpha) > 1e-7
+                        or r.residual > 1e-10
+                    ):
+                        failed.append((sorted(zeros), a, r.params.lambdas.round(6), r.params.alpha, r.residual))
+    assert failed == []

@@ -55,21 +55,20 @@ def test_xi_properties():
 
 
 def test_superposition_limits():
-    s = states.SuperpositionParams(a=1.0, b=0.0, phi=1.3)
-    assert np.allclose(states.make_superposition(s), states.make_ghz(1.3))
-    s = states.SuperpositionParams(a=0.0, b=1.0, gamma=0.2, beta=0.9)
-    assert np.allclose(states.make_superposition(s), states.make_w(0.2, 0.9))
+    assert np.allclose(states.make_superposition(1.0, phi=1.3), states.make_ghz(1.3))
+    assert np.allclose(states.make_superposition(0.0, gamma=0.2, beta=0.9), states.make_w(0.2, 0.9))
 
 
 def test_superposition_overlap_split():
-    s = states.SuperpositionParams(a=np.sqrt(1 / 3), b=np.sqrt(2 / 3))
-    psi = states.make_superposition(s)
+    psi = states.make_superposition(1 / 3)
     assert abs(abs(np.vdot(states.make_ghz(0.0), psi)) ** 2 - 1 / 3) < 1e-12
 
 
 def test_superposition_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        states.SuperpositionParams(a=1.0, b=1.0)
+    # |a|^2 = a_sq outside [0, 1] leaves no unit-norm superposition
+    for a_sq in (1.5, -0.1, np.nan, [0.4, 1.2]):
+        with pytest.raises(ValueError):
+            states.make_superposition(a_sq)
 
 
 def test_haar_random_deterministic_and_normalized():
@@ -121,20 +120,18 @@ def test_check_density_matrix_rejects_bad_input():
 
 
 def test_state_json_round_trip(tmp_path):
+    # the documented format: dims, then 8 [re, im] amplitude pairs
     path = tmp_path / "state.json"
     psi = states.haar_random_pure(21)
-    states.save_state(psi, str(path))
+    path.write_text(json.dumps({"dims": [2, 2, 2], "amplitudes": [[z.real, z.imag] for z in psi]}))
     assert np.array_equal(states.load_state(str(path)), psi)
-    # the file is plain JSON with the documented keys
-    obj = json.loads(path.read_text())
-    assert obj["dims"] == [2, 2, 2]
-    assert len(obj["amplitudes"]) == 8
 
 
 def test_rho_json_round_trip(tmp_path):
+    # the documented format: dims, then an 8x8 matrix of [re, im] pairs
     path = tmp_path / "rho.json"
     rho = states.mix([(0.3, states.make_ghz(0.2)), (0.7, states.make_w(0.1, 0.4))])
-    states.save_rho(rho, str(path))
+    path.write_text(json.dumps({"dims": [2, 2, 2], "matrix": [[[z.real, z.imag] for z in row] for row in rho]}))
     assert np.max(np.abs(states.load_rho(str(path)) - rho)) < 1e-15
 
 
