@@ -79,8 +79,6 @@ def _apply(frames: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 # the Pauli basis (1, x, y, z): a Hermitian 2x2 X is sum_k tr(X P_k) P_k / 2
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_SEEDS = (64, 4, 12)  # Fibonacci points, then cone-ring scales and directions
-_RETRY_SEEDS = (512, 8, 24)
 _NEWTON_STEPS = 16
 _MAX_STEP = 0.5  # longest Newton move, as a chord of the unit sphere
 _CONE_EPS = 1e-12  # floor of |D n + d| beside the cone point
@@ -185,18 +183,28 @@ def _det_zeros(tens: np.ndarray):
     return bloch, double
 
 
-def _seeds(form, n_fib: int, n_scales: int, n_dirs: int) -> np.ndarray:
-    """Fibonacci-spiral points plus rings around the cone direction n*/|n*|.
+def _fibonacci(n: int) -> np.ndarray:
+    """n Fibonacci-spiral points (n, 3) on the unit sphere."""
+    i = np.arange(n) + 0.5
+    z, phi = 1.0 - 2.0 * i / n, np.pi * (1.0 + np.sqrt(5.0)) * i
+    rho = np.sqrt(1.0 - z * z)
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+
+
+# seed sets: Fibonacci points, then cone-ring scales and directions
+_SEEDS = (_fibonacci(64), 4, 12)
+_RETRY_SEEDS = (_fibonacci(512), 8, 24)
+
+
+def _seeds(form, fibonacci: np.ndarray, n_scales: int, n_dirs: int) -> np.ndarray:
+    """The Fibonacci points plus rings around the cone direction n*/|n*|.
 
     n* = -D^{-1} d is where the branches touch.  When it lies near the
     sphere, roots of both branches crowd beside it, closer than a uniform
     seed set resolves.
     """
     _, d, dm = form
-    i = np.arange(n_fib) + 0.5
-    z, phi = 1.0 - 2.0 * i / n_fib, np.pi * (1.0 + np.sqrt(5.0)) * i
-    rho = np.sqrt(1.0 - z * z)
-    seeds = [np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)]
+    seeds = [fibonacci]
     # a singular D has no single cone point, and n* = 0 no direction
     m = -np.linalg.solve(dm, d) if abs(np.linalg.det(dm)) > 1e-12 else np.zeros(3)
     if np.linalg.norm(m) > 0.0:
@@ -225,18 +233,23 @@ def _critical_points(tens: np.ndarray):
     """
     form = _bloch_form(tens)
     zeros, double = _det_zeros(tens)
-    for counts in (_SEEDS, _RETRY_SEEDS):
-        seeds = np.concatenate([zeros, _seeds(form, *counts)])
+    for seed_set in (_SEEDS, _RETRY_SEEDS):
+        seeds = np.concatenate([zeros, _seeds(form, *seed_set)])
         sgn = np.repeat([1.0, -1.0], len(seeds))
         n, last, index = _newton(form, np.concatenate([seeds, seeds]), sgn)
         found = last <= _ROOT_TOL
         n = np.concatenate([zeros, n[found]])
         branch = np.concatenate([np.ones(len(zeros), dtype=int), (sgn[found] < 0).astype(int)])
         index = np.concatenate([np.ones(len(zeros)), index[found]])
-        # most roots are reached from many seeds: drop exact repeats
-        # cheaply, then compare the few left pairwise
-        _, first = np.unique(np.column_stack([np.round(n / _SAME_ROOT), branch]), axis=0, return_index=True)
-        n, branch, index = n[np.sort(first)], branch[np.sort(first)], index[np.sort(first)]
+        # most roots are reached from many seeds: keep the first of each
+        # run of exact repeats in a stable sort, then compare the few left pairwise
+        key = np.column_stack([np.round(n / _SAME_ROOT), branch])
+        order = np.lexsort(key.T)
+        key = key[order]
+        starts = np.ones(len(key), dtype=bool)
+        starts[1:] = (key[1:] != key[:-1]).any(axis=1)
+        first = np.sort(order[starts])
+        n, branch, index = n[first], branch[first], index[first]
         near = np.linalg.norm(n[:, None] - n[None], axis=2) <= _SAME_ROOT
         keep = ~np.tril(near & (branch[:, None] == branch[None]), -1).any(axis=1)
         n, branch, index = n[keep], branch[keep], index[keep]

@@ -5,7 +5,9 @@ Each witness family is minimized over its phase parameters; a state is
 -BOUNDARY_TOL (see :func:`detects`).  Pure states admit closed-form
 minima; every density matrix, rank 1 included, takes the mixed route: a
 closed form for the GHZ family and, for the W family, the roots of a
-sextic that holds every stationary phase.
+sextic that holds every stationary phase.  Each minimum is an array
+kernel over a batch, (N, 8) kets or (N, 8, 8) density matrices, and the
+public functions are its N = 1 wrappers.
 """
 
 from __future__ import annotations
@@ -148,41 +150,72 @@ def min_w_expectation_mixed(rho) -> tuple[float, float, float]:
     so for fixed gamma the beta maximum is a modulus, leaving a
     one-dimensional profile in gamma.  Its maximum is a root of the slope,
     which squared is a sextic in e^{i gamma}, or the kink where the modulus
-    vanishes; every such point is evaluated.  When m02 = m12 = 0 the
-    sextic vanishes identically and the maximum is at gamma = -arg(m01).
+    vanishes; every such point is evaluated (see :func:`_w_min`).
     """
-    return _w_min(states.check_density_matrix(rho))
+    value, gamma, beta = _w_min(states.check_density_matrix(rho)[None])
+    return float(value[0]), float(gamma[0]), float(beta[0])
 
 
-def _w_min(rho: np.ndarray) -> tuple[float, float, float]:
-    m = rho[np.ix_(W_SECTOR, W_SECTOR)]
-    s = m[0, 0].real + m[1, 1].real + m[2, 2].real
-    m01, m02, m12 = m[0, 1], m[0, 2], m[1, 2]
-    b = np.conj(m02) * m12
+#: the companion matrix of a monic sextic less its first row
+_SHIFT = np.eye(6, k=-1, dtype=complex)
 
-    def profile(gamma):
-        return 2.0 * (m01 * np.exp(1j * gamma)).real + 2.0 * np.abs(
-            m02 + m12 * np.exp(-1j * gamma)
-        )
 
-    # Laurent coefficients in z = e^{i gamma} of 2i Im(m01 z), |c|^2 and
-    # 2i Im(B z^-1), lowest power first; the slope vanishes where
-    # Im(m01 z)|c| = Im(B z^-1), so its square is z^-3 times a sextic
-    im_a = np.array([-np.conj(m01), 0.0, m01])
-    mod_c = np.array([b, abs(m02) ** 2 + abs(m12) ** 2, np.conj(b)])
-    im_b = np.array([b, 0.0, -np.conj(b)])
-    sextic = np.convolve(np.convolve(im_a, im_a), mod_c) - np.pad(np.convolve(im_b, im_b), 1)
-    # every root's angle is a candidate (one off the unit circle only adds a
-    # harmless one), as are gamma = 0, the kink of |c| at c = 0 and the peak
-    # of the m01 term alone, the maximum when the sextic vanishes identically
-    gammas = np.concatenate([[0.0, np.angle(-b), -np.angle(m01)], np.angle(np.roots(sextic[::-1]))])
-    gamma = float(gammas[int(np.argmax(profile(gammas)))])
-    overlap = (s + float(profile(gamma))) / 3.0
-    combined = m02 + m12 * np.exp(-1j * gamma)
-    beta = float(-np.angle(combined)) if abs(combined) > _PHASE_EPS else 0.0
-    gamma = float(np.mod(gamma, 2.0 * np.pi))
-    beta = float(np.mod(beta, 2.0 * np.pi))
-    return float(2.0 / 3.0 - overlap), gamma, beta
+def _w_min(rhos: np.ndarray) -> tuple:
+    """W minima and their phases (gamma, beta), arrays (N,), of validated (N, 8, 8) matrices.
+
+    Each row's profile in gamma is evaluated at nine candidates: 0, the
+    kink arg(-b) of |m02 + m12 e^{-i gamma}|, the peak -arg(m01) of the
+    m01 term alone and the angles of the sextic's six roots, all taken by
+    one eigensolve of the stacked companion matrices (a root off the unit
+    circle only adds a harmless candidate).  With z = e^{i gamma} and
+    b = conj(m02) m12 the slope vanishes where Im(m01 z) |m02 + m12 / z|
+    = Im(b / z); squared and times z^3 that is the sextic.  For
+    S = |m02|^2 + |m12|^2 its coefficients, highest power first, are
+
+        c6 = m01^2 conj(b),  c5 = m01^2 S - conj(b)^2,
+        c4 = m01^2 b - 2 |m01|^2 conj(b),  c3 = 2 |b|^2 - 2 |m01|^2 S
+
+    and c_k = conj(c_{6-k}).  Where m01 b = 0 exactly both end coefficients
+    vanish, and the sextic is a constant times z (u - conj(u) z^2)^2 with
+    u = b when m01 = 0 and u = conj(m01) when b = 0.  Its roots +-e^{i arg u}
+    then add one candidate, arg(b), in closed form: arg(-b) is the kink,
+    -arg(m01) is fixed, and pi - arg(m01) is the profile's minimum when b = 0.
+    When m02 = m12 = 0 as well the sextic vanishes identically and the
+    maximum is at -arg(m01).
+    """
+    n = len(rhos)
+    i, j, k = W_SECTOR
+    s = rhos[:, i, i].real + rhos[:, j, j].real + rhos[:, k, k].real
+    m01, m02, m12 = rhos[:, i, j], rhos[:, i, k], rhos[:, j, k]
+    b = m02.conj() * m12
+    sq01, norm01 = m01 * m01, (m01 * m01.conj()).real
+    size = (m02 * m02.conj()).real + (m12 * m12.conj()).real
+    c6 = sq01 * b.conj()
+    c5 = sq01 * size - b.conj() ** 2
+    c4 = sq01 * b - 2.0 * norm01 * b.conj()
+    c3 = 2.0 * ((b * b.conj()).real - norm01 * size)
+    gammas = np.zeros((n, 9))
+    gammas[:, 1] = np.angle(-b)
+    gammas[:, 2] = -np.angle(m01)
+    flat = c6 == 0.0
+    live = slice(None)
+    if flat.any():
+        live = ~flat
+        # the other root slots stay at gamma = 0, already a candidate
+        gammas[flat, 3] = np.angle(b[flat])
+    # the first row of each monic companion, -(c5, ..., c0) / c6
+    top = -np.stack([c5, c4, c3, c4.conj(), c5.conj(), c6.conj()], axis=1)[live] / c6[live, None]
+    companion = np.empty(top.shape + (6,), dtype=complex)
+    companion[:] = _SHIFT
+    companion[:, 0] = top
+    gammas[live, 3:] = np.angle(np.linalg.eigvals(companion))
+    rot = np.exp(1j * gammas)
+    combined = m02[:, None] + m12[:, None] * rot.conj()
+    profile = 2.0 * (m01[:, None] * rot).real + 2.0 * np.abs(combined)
+    pick = np.arange(n), np.argmax(profile, axis=1)
+    combined = combined[pick]
+    beta = np.where(np.abs(combined) > _PHASE_EPS, -np.angle(combined), 0.0)
+    return 2.0 / 3.0 - (s + profile[pick]) / 3.0, np.mod(gammas[pick], 2.0 * np.pi), np.mod(beta, 2.0 * np.pi)
 
 
 def ghzw_criterion(rho) -> CriterionVerdict:
@@ -191,9 +224,8 @@ def ghzw_criterion(rho) -> CriterionVerdict:
     Every input, rank 1 included, takes the mixed minimizations; on a
     projector they agree with :func:`ghzw_criterion_pure` to rounding.
     """
-    rho = states.check_density_matrix(rho)
-    value, phi = _ghz_min(rho[None])
-    return CriterionVerdict(float(value[0]), float(phi[0]), *_w_min(rho))
+    rhos = states.check_density_matrix(rho)[None]
+    return CriterionVerdict(*(float(m[0]) for m in _ghz_min(rhos) + _w_min(rhos)))
 
 
 def ghzw_criterion_pure(psi) -> CriterionVerdict:

@@ -112,17 +112,18 @@ def _window_mixtures(seeds, n_components: int) -> np.ndarray:
     """Density matrices (len(seeds), 8, 8) of random mixtures from the window.
 
     Each mixture draws from default_rng(seed): its simplex weights, then
-    per component a_sq uniform in [1/3, 1/2] and the phases (phi, gamma,
-    beta, rel_phase_ab) uniform in [0, 2 pi).
+    one uniform row per component that sets a_sq in [1/3, 1/2] and the
+    phases (phi, gamma, beta, rel_phase_ab) in [0, 2 pi), as
+    Generator.uniform scales them.
     """
-    weights, a_sq, phases = [], [], []
+    weights, draws = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         weights.append(_simplex_weights(rng, n_components))
-        for _ in range(n_components):
-            a_sq.append(rng.uniform(1.0 / 3.0, 0.5))
-            phases.append(rng.uniform(0.0, 2.0 * np.pi, size=4))
-    kets = states.check_kets(states.make_superposition(np.array(a_sq), *np.transpose(phases)))
+        draws.append(rng.random((n_components, 5)))
+    u = np.concatenate(draws)
+    a_sq = 1.0 / 3.0 + (0.5 - 1.0 / 3.0) * u[:, 0]
+    kets = states.check_kets(states.make_superposition(a_sq, *(2.0 * np.pi * u[:, 1:]).T))
     return states._mix(np.array(weights), kets.reshape(len(weights), n_components, 8))
 
 
@@ -142,7 +143,7 @@ def sample_unwitnessed_mixtures(
         # mixtures of checked kets are valid density matrices
         rhos = _window_mixtures(seeds[start : start + _MIXTURE_BLOCK], n_components)
         ghz_min.extend(criterion._ghz_min(rhos)[0].tolist())
-        w_min.extend(criterion._w_min(rho)[0] for rho in rhos)
+        w_min.extend(criterion._w_min(rhos)[0].tolist())
     min_ghz, min_w = min(ghz_min), min(w_min)
     return MixtureReport(
         n_mixtures=n_mixtures,

@@ -1,4 +1,5 @@
-"""The batch kernels equal their N = 1 wrappers, and scalar references, bit for bit."""
+"""The batch kernels equal their N = 1 wrappers bit for bit, and their scalar
+references bit for bit or, for the mixed W minimum, within 1e-15."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -141,3 +142,89 @@ def test_window_mixtures_equal_one_ket_at_a_time(seed, n_components):
     rho = scanner._window_mixtures([seed], n_components)[0]
     assert np.array_equal(rho, expected)
     assert np.array_equal(rho, states.mix(components))
+
+
+def _reference_w_min(rho):
+    """The mixed W minimum one matrix at a time, as it was before the batched
+    kernel: the sextic by convolution and its roots by np.roots."""
+    m = rho[np.ix_(criterion.W_SECTOR, criterion.W_SECTOR)]
+    s = m[0, 0].real + m[1, 1].real + m[2, 2].real
+    m01, m02, m12 = m[0, 1], m[0, 2], m[1, 2]
+    b = np.conj(m02) * m12
+
+    def profile(gamma):
+        return 2.0 * (m01 * np.exp(1j * gamma)).real + 2.0 * np.abs(m02 + m12 * np.exp(-1j * gamma))
+
+    im_a = np.array([-np.conj(m01), 0.0, m01])
+    mod_c = np.array([b, abs(m02) ** 2 + abs(m12) ** 2, np.conj(b)])
+    im_b = np.array([b, 0.0, -np.conj(b)])
+    sextic = np.convolve(np.convolve(im_a, im_a), mod_c) - np.pad(np.convolve(im_b, im_b), 1)
+    gammas = np.concatenate([[0.0, np.angle(-b), -np.angle(m01)], np.angle(np.roots(sextic[::-1]))])
+    gamma = float(gammas[int(np.argmax(profile(gammas)))])
+    overlap = (s + float(profile(gamma))) / 3.0
+    combined = m02 + m12 * np.exp(-1j * gamma)
+    beta = float(-np.angle(combined)) if abs(combined) > EPS else 0.0
+    return float(2.0 / 3.0 - overlap), float(np.mod(gamma, 2.0 * np.pi)), float(np.mod(beta, 2.0 * np.pi))
+
+
+#: W-sector coherences set exactly to 0: each ket of the mixture has a 0
+#: amplitude in one of the two slots (slots 1, 2, 4 are |001>, |010>, |100>)
+ZEROED = {"m01": (1, 2), "m02": (1, 4), "m12": (2, 4), "m02 and m12": (4, 4)}
+DENSITY_KINDS = ("haar mixture", "rank one", "w family", "identity", *ZEROED)
+
+
+def _density(kind, rng):
+    if kind == "identity":
+        return np.eye(8, dtype=complex) / 8.0
+    if kind == "w family":
+        return qcore.outer(states.make_w(*rng.uniform(0.0, 2.0 * np.pi, 2)))
+    n = 1 if kind == "rank one" else int(rng.integers(1, 9))
+    kets = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+    if kind in ZEROED:
+        p, q = ZEROED[kind]
+        kets[::2, p] = kets[1::2, q] = 0.0
+        if kind == "m02 and m12":
+            kets = np.concatenate([kets, np.eye(8)[None, 4]])
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    return states._mix(rng.dirichlet(np.ones(len(kets)))[None], kets[None])[0]
+
+
+@st.composite
+def density_batches(draw):
+    kinds = draw(st.lists(st.sampled_from(DENSITY_KINDS), min_size=1, max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array([states.check_density_matrix(_density(kind, rng)) for kind in kinds])
+
+
+@settings(max_examples=80, deadline=None)
+@given(rhos=density_batches())
+def test_mixed_w_kernel_matches_the_scalar_reference(rhos):
+    minima = criterion._w_min(rhos)
+    for i, rho in enumerate(rhos):
+        value, gamma, beta = (m[i] for m in minima)
+        assert abs(value - _reference_w_min(rho)[0]) <= 1e-15
+        # the reported phases reach the minimum
+        assert abs(witness.expectation(witness.w_witness(gamma, beta), rho) - value) <= 1e-15
+        assert criterion.min_w_expectation_mixed(rho) == (value, gamma, beta)
+        verdict = criterion.ghzw_criterion(rho)
+        assert (verdict.w_min, verdict.w_opt_gamma, verdict.w_opt_beta) == (value, gamma, beta)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**31), n_mixtures=st.integers(1, 30), n_components=st.integers(1, 5))
+def test_mixture_report_equals_a_loop_of_single_calls(seed, n_mixtures, n_components):
+    cfg = scanner.ScanConfig(seed=seed)
+    rhos = scanner._window_mixtures(range(seed, seed + n_mixtures), n_components)
+    ghz_min = [criterion.min_ghz_expectation_mixed(rho)[0] for rho in rhos]
+    w_min = [criterion.min_w_expectation_mixed(rho)[0] for rho in rhos]
+    expected = scanner.MixtureReport(
+        n_mixtures=n_mixtures,
+        n_components=n_components,
+        min_ghz_min=min(ghz_min),
+        max_ghz_violation=max(0.0, -min(ghz_min)),
+        min_w_min=min(w_min),
+        max_w_violation=max(0.0, -min(w_min)),
+        all_unwitnessed=not (criterion.detects(min(ghz_min)) or criterion.detects(min(w_min))),
+        worst_mixture_index=int(np.argmin(np.minimum(ghz_min, w_min))),
+    )
+    assert scanner.sample_unwitnessed_mixtures(cfg, n_mixtures, n_components) == expected
