@@ -84,7 +84,7 @@ _MAX_STEP = 0.5  # longest Newton move, as a chord of the unit sphere
 _CONE_EPS = 1e-12  # floor of |D n + d| beside the cone point
 _ROOT_TOL = 1e-10  # a Newton step this short has landed on a critical point
 _SAME_ROOT = 1e-6  # Bloch-vector distance within which two roots are one
-_SINGULAR = 1e-8  # |det| / |H|^2 at or below which a tangent Hessian H is singular
+_SINGULAR = 1e-8  # |det| / |T|^2 at or below which a tangent Hessian T is singular
 _TANGLE_EPS = 1e-12  # three-tangle below which det M(v) = 0 has a double root
 
 
@@ -103,32 +103,24 @@ def _bloch_form(tens: np.ndarray):
     return comp[1:, 0], comp[0, 1:], comp[1:, 1:].T
 
 
-def _tangent_basis(n: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent bases (N, 3, 2) at the unit rows n.
-
-    The polar and azimuthal unit vectors; at the poles, where the azimuth
-    is arbitrary, they are still an orthonormal pair.
-    """
-    phi = np.arctan2(n[:, 1], n[:, 0])
-    cos, sin = np.cos(phi), np.sin(phi)
-    polar = np.stack([n[:, 2] * cos, n[:, 2] * sin, -np.hypot(n[:, 0], n[:, 1])], axis=1)
-    return np.stack([polar, np.stack([-sin, cos, np.zeros_like(phi)], axis=1)], axis=2)
-
-
 def _newton(form, n: np.ndarray, sgn: np.ndarray):
     """Newton on the sphere for sigma^2 = c0 + g.n + sgn |D n + d|, all seeds at once.
 
     With w = D n + d and e = w / |w| the gradient is g + sgn D^T e and the
-    Hessian sgn D^T (1 - e e^T) D / |w|; on the sphere the tangent Hessian
-    loses (n . gradient).  Where that Hessian is singular (the flat
-    critical rings of symmetric states) the step uses its pseudo-inverse,
-    H / |H|^2 for rank one, which still steps onto the ring.  A seed stops
-    once its step is within _ROOT_TOL, which by quadratic convergence
-    leaves it on its root to about the square of that.  Returns the
-    points, the length of each one's last step and its index: the sign of
-    the tangent-Hessian determinant, 0 where that Hessian is singular.
+    Hessian H = sgn D^T (1 - e e^T) D / |w|.  With lam = n . gradient and
+    P = 1 - n n^T the tangent gradient is q = gradient - lam n and the
+    tangent Hessian T = P (H - lam) P, formed entry by entry (|T|^2 by
+    cancellation can go negative).  On the tangent plane T is a 2x2 with
+    det = (tr^2 T - |T|^2) / 2 and T^{-1} = (tr T - T) / det: the Newton
+    move is (T q - tr T q) / det.  Where T is singular (the flat critical
+    rings of symmetric states) the move uses its pseudo-inverse, T / |T|^2
+    for rank one, which still steps onto the ring.  A seed stops once its
+    step is within _ROOT_TOL, which by quadratic convergence leaves it on
+    its root to about the square of that.  Returns the points, the length
+    of each one's last step and its index: sign(det), 0 where T is singular.
     """
     g, d, dm = form
+    gram = dm.T @ dm
     n = n.copy()
     length, index = np.full(len(n), np.inf), np.zeros(len(n))
     for _ in range(_NEWTON_STEPS):
@@ -138,20 +130,21 @@ def _newton(form, n: np.ndarray, sgn: np.ndarray):
         x, s = n[live], sgn[live, None]
         w = x @ dm.T + d
         r = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), _CONE_EPS)
-        basis = _tangent_basis(x)
-        db = dm @ basis
-        de = np.einsum("nki,nk->ni", db, w / r)
-        grad = np.einsum("nki,k->ni", basis, g) + s * de
-        radial = x @ g + s[:, 0] * np.sum((w - d) * w, axis=1) / r[:, 0]
-        hess = s[:, :, None] * (db.transpose(0, 2, 1) @ db - de[:, :, None] * de[:, None, :]) / r[:, :, None]
-        a, b, c = hess[:, 0, 0] - radial, hess[:, 0, 1], hess[:, 1, 1] - radial
-        det, size = a * c - b * b, a * a + 2.0 * b * b + c * c
+        de = (w / r) @ dm
+        grad = g + s * de
+        lam = np.sum(x * grad, axis=1)
+        q = grad - lam[:, None] * x
+        hess = (s / r)[:, :, None] * (gram - de[:, :, None] * de[:, None, :]) - lam[:, None, None] * np.eye(3)
+        proj = np.eye(3) - x[:, :, None] * x[:, None, :]
+        t = proj @ hess @ proj
+        trace, size = np.trace(t, axis1=1, axis2=2), np.sum(t * t, axis=(1, 2))
+        det = (trace * trace - size) / 2.0
         flat = np.abs(det) <= _SINGULAR * size
         index[live] = np.where(flat, 0.0, np.sign(det))
-        g0, g1 = grad[:, 0], grad[:, 1]
-        pinv_step = np.stack([a * g0 + b * g1, b * g0 + c * g1], 1) / np.maximum(size, 1e-300)[:, None]
-        newton_step = np.stack([c * g0 - b * g1, a * g1 - b * g0], 1) / np.where(flat, 1.0, det)[:, None]
-        move = -np.einsum("nki,ni->nk", basis, np.where(flat[:, None], pinv_step, newton_step))
+        tq = np.einsum("nij,nj->ni", t, q)
+        pinv_move = -tq / np.maximum(size, 1e-300)[:, None]
+        newton_move = (tq - trace[:, None] * q) / np.where(flat, 1.0, det)[:, None]
+        move = np.where(flat[:, None], pinv_move, newton_move)
         length[live] = np.linalg.norm(move, axis=1)
         x = x + move * np.minimum(1.0, _MAX_STEP / np.maximum(length[live], 1e-300))[:, None]
         n[live] = x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -209,7 +202,7 @@ def _seeds(form, fibonacci: np.ndarray, n_scales: int, n_dirs: int) -> np.ndarra
     m = -np.linalg.solve(dm, d) if abs(np.linalg.det(dm)) > 1e-12 else np.zeros(3)
     if np.linalg.norm(m) > 0.0:
         m /= np.linalg.norm(m)
-        b1, b2 = _tangent_basis(m[None])[0].T
+        b1, b2 = np.linalg.svd(m[None])[2][1:]  # an orthonormal pair orthogonal to m
         phi = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
         ring = np.outer(np.cos(phi), b1) + np.outer(np.sin(phi), b2)
         pts = (m + np.geomspace(0.1, 1e-4, n_scales)[:, None, None] * ring).reshape(-1, 3)

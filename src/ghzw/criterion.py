@@ -159,6 +159,12 @@ def min_w_expectation_mixed(rho) -> tuple[float, float, float]:
 #: the companion matrix of a monic sextic less its first row
 _SHIFT = np.eye(6, k=-1, dtype=complex)
 
+#: |c6| at or below this fraction of max(|c5|, |c3|) counts as 0: the m01 b = 0
+#: limit's closed-form roots then move w_min by up to about half the ratio, while
+#: the companion, whose unit-circle roots pair up there, errs by about 1e-24 / ratio
+#: and overflows as c6 nears underflow; the two meet near 1e-12 (measured)
+_FLAT_SEXTIC = 1e-12
+
 
 def _w_min(rhos: np.ndarray) -> tuple:
     """W minima and their phases (gamma, beta), arrays (N,), of validated (N, 8, 8) matrices.
@@ -175,13 +181,13 @@ def _w_min(rhos: np.ndarray) -> tuple:
         c6 = m01^2 conj(b),  c5 = m01^2 S - conj(b)^2,
         c4 = m01^2 b - 2 |m01|^2 conj(b),  c3 = 2 |b|^2 - 2 |m01|^2 S
 
-    and c_k = conj(c_{6-k}).  Where m01 b = 0 exactly both end coefficients
-    vanish, and the sextic is a constant times z (u - conj(u) z^2)^2 with
-    u = b when m01 = 0 and u = conj(m01) when b = 0.  Its roots +-e^{i arg u}
-    then add one candidate, arg(b), in closed form: arg(-b) is the kink,
-    -arg(m01) is fixed, and pi - arg(m01) is the profile's minimum when b = 0.
-    When m02 = m12 = 0 as well the sextic vanishes identically and the
-    maximum is at -arg(m01).
+    and c_k = conj(c_{6-k}).  As m01 b -> 0 both end coefficients vanish,
+    and the sextic tends to a constant times z (u - conj(u) z^2)^2 with
+    u = b as m01 -> 0 and u = conj(m01) as b -> 0.  Rows with c6 negligible
+    (_FLAT_SEXTIC) take its roots +-e^{i arg u}, which add one candidate,
+    arg(b): arg(-b) is the kink, -arg(m01) is fixed, and pi - arg(m01) is
+    the profile's minimum when b = 0.  When m02 = m12 = 0 as well the
+    sextic vanishes identically and the maximum is at -arg(m01).
     """
     n = len(rhos)
     i, j, k = W_SECTOR
@@ -197,7 +203,7 @@ def _w_min(rhos: np.ndarray) -> tuple:
     gammas = np.zeros((n, 9))
     gammas[:, 1] = np.angle(-b)
     gammas[:, 2] = -np.angle(m01)
-    flat = c6 == 0.0
+    flat = np.abs(c6) <= _FLAT_SEXTIC * np.maximum(np.abs(c5), np.abs(c3))
     live = slice(None)
     if flat.any():
         live = ~flat

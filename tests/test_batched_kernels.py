@@ -228,3 +228,35 @@ def test_mixture_report_equals_a_loop_of_single_calls(seed, n_mixtures, n_compon
         worst_mixture_index=int(np.argmin(np.minimum(ghz_min, w_min))),
     )
     assert scanner.sample_unwitnessed_mixtures(cfg, n_mixtures, n_components) == expected
+
+
+def _w_sector_density(m01, m02, m12):
+    rho = np.eye(8, dtype=complex) / 8.0
+    for (p, q), value in zip(((1, 2), (1, 4), (2, 4)), (m01, m02, m12)):
+        rho[p, q], rho[q, p] = value, np.conj(value)
+    return rho
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tiny=st.sampled_from(["m01", "m02"]),
+    k=st.integers(20, 320),
+    sizes=st.tuples(*[st.floats(0.01, 0.05)] * 3),
+    phases=st.tuples(*[st.floats(0.0, 2.0 * np.pi)] * 3),
+    haar_seeds=st.lists(st.integers(0, 2**31), max_size=5),
+    slot=st.integers(0, 5),
+)
+def test_mixed_w_minimum_where_one_coherence_is_far_below_rounding(tiny, k, sizes, phases, haar_seeds, slot):
+    # c6 = m01^2 conj(m02) m12 is then tiny but not 0: the sextic's two
+    # extra roots run off to 0 and infinity, and a companion divided by c6
+    # loses the unit-circle roots or overflows
+    coherences = dict(zip(("m01", "m02", "m12"), np.array(sizes) * np.exp(1j * np.array(phases))))
+    coherences[tiny] = 10.0**-k * np.exp(1j * phases[0 if tiny == "m01" else 1])
+    rho = _w_sector_density(**coherences)
+    value = criterion.min_w_expectation_mixed(rho)[0]
+    assert abs(value - criterion.min_w_expectation_mixed(_w_sector_density(**{**coherences, tiny: 0.0}))[0]) <= 1e-15
+    rhos = [qcore.outer(states.haar_random_pure(seed)) for seed in haar_seeds]
+    rhos.insert(min(slot, len(rhos)), rho)
+    minima = criterion._w_min(np.array(rhos))
+    for i, row in enumerate(rhos):
+        assert tuple(m[i] for m in minima) == tuple(m[0] for m in criterion._w_min(row[None]))
