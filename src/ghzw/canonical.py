@@ -324,13 +324,13 @@ def _critical_frames(psi: np.ndarray, n: np.ndarray, branch: np.ndarray):
 
     The A-row is v = (cos t, sin t e^{ip}), n its Bloch vector.  The
     singular bases of B and C, in branch order, turn the A=1 block T1 into
-    diag(sing[order]), so only the A=0 block's three support amplitudes
-    need transforming.
+    diag(sing[order]), so only the A=0 block's support amplitudes change.
     """
     t = 0.5 * np.arccos(np.clip(n[:, 2], -1.0, 1.0))
     v0, v1 = np.cos(t), np.sin(t) * np.exp(1j * np.arctan2(n[:, 1], n[:, 0]))
     u_a = np.array([[np.conj(v1), -np.conj(v0)], [v0, v1]]).transpose(2, 0, 1)
-    blocks = (u_a @ psi.reshape(2, 4)).reshape(-1, 2, 2, 2)
+    # entry by entry, not by matmul: T1's singular vectors scale its rounding by 1 / (singular gap)
+    blocks = (u_a[..., None, None] * psi.reshape(2, 2, 2)).sum(axis=2)
     left, sing, right_h = np.linalg.svd(blocks[:, 1])
     # branch 0 takes the singular pair in the order (smaller, larger)
     flip = branch == 0
