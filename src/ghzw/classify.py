@@ -56,24 +56,30 @@ _HDET_FACTORS = np.array(
     + [[0, 7, 6, 1], [3, 4, 5, 2], [3, 4, 6, 1], [5, 2, 6, 1], [0, 6, 5, 3], [7, 1, 2, 4]]
 )
 
+#: rows of the factors' real and imaginary parts in qcore._real_rows(kets),
+#: by factor: (4 factors; re, im; 12 terms)
+_HDET_PARTS = np.stack([2 * _HDET_FACTORS.T, 2 * _HDET_FACTORS.T + 1], axis=1)
 
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Complex x * y rounded as numpy's scalar product; the array loop fuses multiply-adds."""
-    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+
+def _mul(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Complex x * y on (re, im) pairs, rounded as numpy's scalar product; its array loop fuses multiply-adds."""
+    (xr, xi), (yr, yi) = x, y
+    return xr * yr - xi * yi, xr * yi + xi * yr
 
 
 def _three_tangle(kets: np.ndarray) -> np.ndarray:
     """Three-tangles (N,) of validated (N, 8) kets: 4|d1 - 2 d2 + 4 d3|, at most 1.
 
     A d1 term is (c_i c_i)(c_j c_j), a d2 or d3 term the product of its
-    factors from left to right, and each sum runs in table order.
+    factors from left to right, and each sum runs in table order, its
+    real and imaginary parts apart.
     """
-    f = kets.T[_HDET_FACTORS]
-    head = _mul(f[:, 0], f[:, 1])
-    d1 = _mul(head[:4], _mul(f[:4, 2], f[:4, 3]))
-    q = _mul(_mul(head[4:], f[4:, 2]), f[4:, 3])
-    hdet = np.add.accumulate(d1)[-1] - 2.0 * np.add.accumulate(q[:6])[-1] + 4.0 * (q[6] + q[7])
-    return np.minimum(4.0 * np.hypot(hdet.real, hdet.imag), 1.0)
+    f = qcore._real_rows(kets)[_HDET_PARTS]  # (4 factors; re, im; 12 terms; N)
+    head = _mul(f[0], f[1])
+    d1 = _mul([part[:4] for part in head], _mul(f[2, :, :4], f[3, :, :4]))
+    q = _mul(_mul([part[4:] for part in head], f[2, :, 4:]), f[3, :, 4:])
+    hdet = [np.add.accumulate(s)[-1] - 2.0 * np.add.accumulate(t[:6])[-1] + 4.0 * (t[6] + t[7]) for s, t in zip(d1, q)]
+    return np.minimum(4.0 * np.hypot(*hdet), 1.0)
 
 
 def _biseparable(spectra: np.ndarray, tol: float = DEFAULT_BISEP_TOL) -> np.ndarray:

@@ -89,3 +89,90 @@ def test_dimension_guards():
         qcore.as_ket([np.nan, 0.0])
     with pytest.raises(ValueError):
         qcore.qubit_slot("D")
+
+
+def _reference_spectra(kets):
+    """Squared singular values of the solo-vs-pair matrices by LAPACK, as
+    qcore._reduced_spectra computed them before its closed form."""
+    return np.clip(np.linalg.svd(kets[:, qcore._SOLO_INDEX], compute_uv=False) ** 2, 0.0, 1.0)
+
+
+def _unit(kets):
+    return kets / np.linalg.norm(kets, axis=-1, keepdims=True)
+
+
+def _haar(rng, n, dim=8):
+    return _unit(rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+
+
+def _biseparable(rng, n, slot):
+    """Kets (n, 8) that are a qubit at `slot` times a Haar state of the other two."""
+    solo, pair = _haar(rng, n, 2), _haar(rng, n, 4).reshape(n, 2, 2)
+    return np.moveaxis(solo[:, :, None, None] * pair[:, None], 1, slot + 1).reshape(n, 8)
+
+
+def _fully_product(rng, n):
+    a, b, c = (_haar(rng, n, 2) for _ in range(3))
+    return (a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]).reshape(n, 8)
+
+
+def _sparse(rng, n):
+    """Haar kets with about a third of their amplitudes zeroed, and real ones."""
+    kets = _haar(rng, n)
+    kets[rng.random(kets.shape) < 0.35] = 0.0
+    kets[:, 7] += 0.5
+    return np.concatenate([_unit(kets), _unit(kets.real).astype(complex)])
+
+
+def _named():
+    kets = [states.make_ghz(0.0), states.make_ghz(1.3), states.make_w(0.0, 0.0), states.make_w(0.7, 2.1)]
+    kets += [states.make_xi(), np.eye(8)[0], np.eye(8)[5], states.make_superposition(0.4, 1.1, 2.2, -0.3, 0.0)]
+    return np.array(kets, dtype=complex)
+
+
+def _mixed_batch(seed):
+    rng = np.random.default_rng(seed)
+    parts = [_haar(rng, 60), _sparse(rng, 30), _fully_product(rng, 20), _named()]
+    parts += [_biseparable(rng, 20, slot) for slot in range(3)]
+    return rng.permutation(np.concatenate(parts))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_closed_form_spectra_match_the_svd(seed):
+    kets = _mixed_batch(seed)
+    got = qcore._reduced_spectra(kets)
+    assert got.shape == (len(kets), 3, 2)
+    assert np.max(np.abs(got - _reference_spectra(kets))) <= 2e-15
+    assert np.all(got[..., 0] >= got[..., 1]) and np.all(got >= 0.0) and np.all(got <= 1.0)
+
+
+def test_product_cuts_read_at_the_svd_floor():
+    rng = np.random.default_rng(3)
+    for slot in range(3):
+        spectra = qcore._reduced_spectra(_biseparable(rng, 200, slot))
+        assert np.max(spectra[:, slot, 1]) <= 1e-30
+        assert np.max(np.abs(spectra[:, slot, 0] - 1.0)) <= 2e-15
+        assert np.min(np.delete(spectra[..., 1], slot, axis=1)) > 1e-12
+    assert np.max(qcore._reduced_spectra(_fully_product(rng, 200))[..., 1]) <= 1e-30
+
+
+def test_spectra_of_named_states():
+    ghz, ghz_phased, w, w_phased, xi, zero, basis5, _ = qcore._reduced_spectra(_named())
+    for spectra in (ghz, ghz_phased):
+        # two equal values on every cut, not an order flipped by rounding
+        assert np.all(spectra[:, 0] == spectra[:, 1])
+        assert np.allclose(spectra, 0.5, rtol=0.0, atol=2e-16)
+    for spectra in (w, w_phased):
+        assert np.allclose(spectra, [2.0 / 3.0, 1.0 / 3.0], rtol=0.0, atol=5e-16)
+    assert np.allclose(xi, [(1.0 + 1.0 / np.sqrt(5.0)) / 2.0, (1.0 - 1.0 / np.sqrt(5.0)) / 2.0], rtol=0.0, atol=2e-16)
+    # a zero row: each cut of a basis state has one
+    assert np.all(zero == [1.0, 0.0]) and np.all(basis5 == [1.0, 0.0])
+
+
+def test_batches_equal_single_kets_bit_for_bit():
+    kets = _mixed_batch(4)
+    singles = np.concatenate([qcore._reduced_spectra(kets[i : i + 1]) for i in range(200)])
+    for n in (1, 2, 7, 63, 64, 65, 129, 200):
+        assert qcore._reduced_spectra(kets[:n]).tobytes() == singles[:n].tobytes()
+    # a strided view of a batch reads the same as its copy
+    assert qcore._reduced_spectra(kets[:200:3]).tobytes() == singles[::3].tobytes()
