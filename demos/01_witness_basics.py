@@ -2,7 +2,8 @@
 
 Builds the two optimal witness families, evaluates them on a few
 states, and cross-checks the closed-form biseparable overlap bound
-against a seeded stochastic hill climb.
+against seeded alternating ascents, read off a repeated-squaring power
+of each cut's Gram matrix.
 """
 
 import numpy as np

@@ -9,6 +9,7 @@ internal error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -166,8 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(p)
     p.add_argument("--stochastic", action="store_true")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--iters", type=int, default=500)
+    budget = inspect.signature(witness.lambda_bound_stochastic).parameters
+    p.add_argument("--restarts", type=int, default=budget["restarts"].default)
+    p.add_argument(
+        "--iters", type=int, default=budget["iters"].default, help="power steps per ascent (default: %(default)s)"
+    )
     p.add_argument("--output")
     p.set_defaults(func=_cmd_lambda)
 

@@ -187,7 +187,12 @@ def _w_min(rhos: np.ndarray) -> tuple:
     (_FLAT_SEXTIC) take its roots +-e^{i arg u}, which add one candidate,
     arg(b): arg(-b) is the kink, -arg(m01) is fixed, and pi - arg(m01) is
     the profile's minimum when b = 0.  When m02 = m12 = 0 as well the
-    sextic vanishes identically and the maximum is at -arg(m01).
+    sextic vanishes identically and the maximum is at -arg(m01).  Around the
+    _FLAT_SEXTIC crossover the companion roots and the closed-form limit
+    each carry only about half their digits, so rows with |c6| at most
+    sqrt(_FLAT_SEXTIC) max(|c5|, |c3|) give their best candidate one Newton
+    step on the slope, kept where it raises the profile (above that band
+    the step raised it by no more than rounding, measured).
     """
     n = len(rhos)
     i, j, k = W_SECTOR
@@ -203,7 +208,8 @@ def _w_min(rhos: np.ndarray) -> tuple:
     gammas = np.zeros((n, 9))
     gammas[:, 1] = np.angle(-b)
     gammas[:, 2] = -np.angle(m01)
-    flat = np.abs(c6) <= _FLAT_SEXTIC * np.maximum(np.abs(c5), np.abs(c3))
+    lead, scale = np.abs(c6), np.maximum(np.abs(c5), np.abs(c3))
+    flat = lead <= _FLAT_SEXTIC * scale
     live = slice(None)
     if flat.any():
         live = ~flat
@@ -219,9 +225,23 @@ def _w_min(rhos: np.ndarray) -> tuple:
     combined = m02[:, None] + m12[:, None] * rot.conj()
     profile = 2.0 * (m01[:, None] * rot).real + 2.0 * np.abs(combined)
     pick = np.arange(n), np.argmax(profile, axis=1)
-    combined = combined[pick]
+    gamma, best, combined = gammas[pick], profile[pick], combined[pick]
+    # Im(lift) is half the profile's slope and curve minus half its curvature;
+    # |c| is floored at _PHASE_EPS, and a point that is not concave takes no step
+    near = np.flatnonzero(lead <= _FLAT_SEXTIC**0.5 * scale)
+    if len(near):
+        rot, mod = rot[pick][near], np.maximum(np.abs(combined[near]), _PHASE_EPS)
+        kink = b[near] / rot / mod
+        lift = kink + (m01[near] * rot).conj()
+        curve = lift.real + kink.imag**2 / mod
+        newton = gamma[near] + lift.imag / np.where(curve > 0.0, curve, np.inf)
+        rot = np.exp(1j * newton)
+        moved = m02[near] + m12[near] / rot
+        raised = 2.0 * ((m01[near] * rot).real + np.abs(moved))
+        up = raised > best[near]
+        gamma[near[up]], best[near[up]], combined[near[up]] = newton[up], raised[up], moved[up]
     beta = np.where(np.abs(combined) > _PHASE_EPS, -np.angle(combined), 0.0)
-    return 2.0 / 3.0 - (s + profile[pick]) / 3.0, np.mod(gammas[pick], 2.0 * np.pi), np.mod(beta, 2.0 * np.pi)
+    return 2.0 / 3.0 - (s + best) / 3.0, np.mod(gamma, 2.0 * np.pi), np.mod(beta, 2.0 * np.pi)
 
 
 def ghzw_criterion(rho) -> CriterionVerdict:

@@ -260,3 +260,32 @@ def test_mixed_w_minimum_where_one_coherence_is_far_below_rounding(tiny, k, size
     minima = criterion._w_min(np.array(rhos))
     for i, row in enumerate(rhos):
         assert tuple(m[i] for m in minima) == tuple(m[0] for m in criterion._w_min(row[None]))
+
+
+def _grid_and_brent_w_min(rho):
+    """The mixed W minimum by a 4096-point grid over gamma and a Brent polish of its best point."""
+    from scipy.optimize import minimize_scalar
+
+    m = rho[np.ix_(criterion.W_SECTOR, criterion.W_SECTOR)]
+
+    def profile(gamma):
+        return 2.0 * (m[0, 1] * np.exp(1j * gamma)).real + 2.0 * np.abs(m[0, 2] + m[1, 2] * np.exp(-1j * gamma))
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 4097)
+    start, h = grid[np.argmax(profile(grid))], grid[1]
+    polish = minimize_scalar(lambda g: -profile(g), bracket=(start - h, start, start + h), tol=1e-12)
+    return 2.0 / 3.0 - (np.trace(m).real + max(-polish.fun, profile(grid).max())) / 3.0
+
+
+def test_mixed_w_minimum_next_to_the_flat_sextic_crossover():
+    # m01 = 10^-k beside coherences of 0.01-0.05 puts |c6| / max(|c5|, |c3|)
+    # on both sides of _FLAT_SEXTIC, where the companion roots and the
+    # m01 b = 0 limit each lose digits; the Newton step on the slope restores them
+    rng = np.random.default_rng(2005)
+    for k in range(5, 13):
+        for _ in range(10):
+            sizes, phases = rng.uniform(0.01, 0.05, 2), rng.uniform(0.0, 2.0 * np.pi, 3)
+            m01 = 10.0**-k * np.exp(1j * phases[0])
+            rho = _w_sector_density(m01, *(sizes * np.exp(1j * phases[1:])))
+            value = criterion.min_w_expectation_mixed(rho)[0]
+            assert abs(value - _grid_and_brent_w_min(rho)) <= 1e-14

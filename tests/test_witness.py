@@ -89,11 +89,11 @@ def test_lambda_bound_stochastic_validates_seed():
 
 
 def _ascend_cut(psi, slot, rng, iters):
-    """The one-ascent-at-a-time loop the batched kernel replaced, kept as its reference."""
+    """`iters` plain steps of one alternating ascent, the loop that the Gram-power kernel replaced."""
     m = psi[qcore._SOLO_INDEX[slot]]
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v /= np.linalg.norm(v)
-    overlap = 0.0
+    overlap, last = 0.0, None
     for _ in range(iters):
         u = m @ v.conj()
         nu = np.linalg.norm(u)
@@ -105,11 +105,12 @@ def _ascend_cut(psi, slot, rng, iters):
         if nv == 0.0:
             break
         v /= nv
-        new = abs(np.vdot(u, m @ v.conj())) ** 2
-        if new - overlap < 1e-15:
-            overlap = new
+        # |<u|m v*>|^2 with v* = m^H u / |m^H u|, read with fewer roundings
+        overlap = nv**2
+        # once (u, v) repeat bit for bit, every later step repeats them and the overlap
+        if last is not None and np.array_equal(u, last[0]) and np.array_equal(v, last[1]):
             break
-        overlap = new
+        last = u, v
     return overlap
 
 
@@ -131,6 +132,14 @@ def _start_kets(seed, restarts):
     return np.array(starts)
 
 
+def _ghz_like(cos_sq):
+    """cos t|000> + sin t|111>: each cut's squared Schmidt values are cos^2 t and sin^2 t."""
+    t = np.arccos(np.sqrt(cos_sq))
+    psi = np.zeros(8, dtype=complex)
+    psi[0], psi[7] = np.cos(t), np.sin(t)
+    return psi
+
+
 def test_ascend_vanishing_norm_ends_only_its_ascent_at_zero():
     # the W ket has no |011> amplitude, so the start ket |11> on qubits B, C
     # is orthogonal to every row of qubit A's cut matrix: m v* is exactly 0
@@ -139,23 +148,20 @@ def test_ascend_vanishing_norm_ends_only_its_ascent_at_zero():
     starts = _start_kets(3, 2)
     starts[0] = np.eye(4)[3]
     with np.errstate(all="raise"):
-        got = witness._ascend(mats, starts, 500)
-        rest = witness._ascend(mats[1:], starts[1:], 500)
+        got = witness._ascents(mats, starts, 500)
+        rest = witness._ascents(mats[1:], starts[1:], 500)
     assert got[0] == 0.0
     assert np.array_equal(got[1:], rest)
     assert abs(got.max() - 2 / 3) < 1e-12
 
 
-def test_ascend_stopped_ascents_stay_frozen():
-    # cos|000> + sin|111> with cos^2 = 0.51: each cut's Gram matrix has
-    # eigenvalues 0.51 and 0.49, so the ascents creep up for hundreds of
-    # steps and stop at different ones; an ascent that went on stepping
-    # after its stop would still gain about 1e-14
-    t = np.arccos(np.sqrt(0.51))
-    psi = np.zeros(8, dtype=complex)
-    psi[0], psi[7] = np.cos(t), np.sin(t)
+def test_ascend_power_equals_5000_plain_steps():
+    # cos^2 t = 0.51: each cut's Gram matrix has eigenvalues 0.51 and 0.49,
+    # so the plain ascents creep up for hundreds of steps before their
+    # (u, v) settle; the Gram power reads the overlap of the last step
+    psi = _ghz_like(0.51)
     mats = np.tile(psi[qcore._SOLO_INDEX], (8, 1, 1))
-    got = witness._ascend(mats, _start_kets(5, 8), 5000)
+    got = witness._ascents(mats, _start_kets(5, 8), 5000)
     assert np.max(np.abs(got - _reference_overlaps(psi, 5, 8, 5000))) <= 1e-15
 
 
@@ -163,10 +169,38 @@ def test_ascend_iteration_cap_stops_every_ascent():
     psi = states.haar_random_pure(41)
     mats = np.tile(psi[qcore._SOLO_INDEX], (4, 1, 1))
     starts = _start_kets(9, 4)
-    one = witness._ascend(mats, starts, 1)
+    one = witness._ascents(mats, starts, 1)
     assert np.max(np.abs(one - _reference_overlaps(psi, 9, 4, 1))) <= 1e-15
     # the cap is what stopped them: every ascent still gains on a second step
-    assert np.all(witness._ascend(mats, starts, 2) - one >= 1e-15)
+    assert np.all(witness._ascents(mats, starts, 2) - one >= 1e-15)
+
+
+def test_ascend_reads_the_unconverged_steps_of_a_weak_start():
+    # cut C's first start lies mostly along its Gram matrix's weak eigenvector
+    # (overlap 0.017 with the top one), so after 5 steps the overlap is still
+    # first-order in the ascent's direction; applying the power to m v* holds
+    # it to the reference, where (power m) v* was 1.3e-15 off
+    psi = states.haar_random_pure(113)
+    got = witness._ascents(psi[qcore._SOLO_INDEX], _start_kets(113, 1), 5)
+    assert np.max(np.abs(got - _reference_overlaps(psi, 113, 1, 5))) <= 1e-15
+
+
+def test_ascend_any_large_budget_reaches_each_cuts_top_schmidt_value():
+    # 2**40 + 1 steps is one factor G^(2**40): every squaring before it is
+    # passed over, and the fixed-point exit must still apply the projector
+    psi = states.haar_random_pure(41)
+    mats = np.tile(psi[qcore._SOLO_INDEX], (4, 1, 1))
+    top = np.tile(qcore._reduced_spectra(psi[None])[0, :, 0], 4)
+    for iters in (2**40 + 1, 2**60):
+        assert np.max(np.abs(witness._ascents(mats, _start_kets(9, 4), iters) - top)) <= 1e-15
+
+
+def test_lambda_bound_stochastic_resolves_near_ties():
+    # power iteration at ratio sin^2 t / cos^2 t needs about 1 / (cos^2 t - sin^2 t)
+    # steps; 500 plain steps left 1.5e-7 at cos^2 t = 0.5001
+    for cos_sq in (0.51, 0.501, 0.5001, 0.500001, 0.5):
+        psi = _ghz_like(cos_sq)
+        assert witness.lambda_bound_analytic(psi) - witness.lambda_bound_stochastic(psi, seed=7) <= 1e-14
 
 
 def _product_ket(seed):
@@ -202,7 +236,7 @@ def test_lambda_bound_stochastic_matches_scalar_reference(psi, seed, restarts, i
     got = witness.lambda_bound_stochastic(psi, seed, restarts=restarts, iters=iters)
     assert abs(got - _reference_overlaps(psi, seed, restarts, iters).max()) <= 1e-15
     analytic = witness.lambda_bound_analytic(psi)
-    assert analytic - 1e-9 <= witness.lambda_bound_stochastic(psi, seed) <= analytic + 1e-12
+    assert analytic - 1e-14 <= witness.lambda_bound_stochastic(psi, seed) <= analytic + 1e-12
 
 
 def _random_biseparable(rng):
