@@ -93,8 +93,8 @@ def is_genuinely_entangled_pure(psi, tol: float = DEFAULT_BISEP_TOL) -> Entangle
     A cut is biseparable when its second squared Schmidt coefficient is
     at most `tol`; the state is genuinely entangled when no cut is.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     kets = states.check_pure(psi)[None]
     spectra = qcore._reduced_spectra(kets)[0]
     bisep = [cut for cut, flag in zip(CUTS, _biseparable(spectra, tol)) if flag]

@@ -47,6 +47,13 @@ def _load_pure(args) -> np.ndarray:
     raise InputError("a state is required: pass --builtin or --state")
 
 
+def _load_rho(args) -> np.ndarray:
+    """The --rho density matrix, which excludes --builtin and --state."""
+    if args.builtin or args.state:
+        raise InputError("give one of --builtin, --state or --rho")
+    return _load(states.load_rho, args.rho, "density")
+
+
 def _load(load, path: str, what: str) -> np.ndarray:
     """load(path), with a missing or malformed file reported as an InputError."""
     try:
@@ -66,9 +73,8 @@ def _emit(payload, args) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    if getattr(args, "rho", None):
-        rho = _load(states.load_rho, args.rho, "density")
-        verdict = criterion.ghzw_criterion(rho)
+    if args.rho:
+        verdict = criterion.ghzw_criterion(_load_rho(args))
         _emit({"criterion": verdict.to_dict()}, args)
         return 0
     psi = _load_pure(args)
@@ -126,7 +132,7 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_ppt(args) -> int:
-    rho = _load(states.load_rho, args.rho, "density") if args.rho else qcore.outer(_load_pure(args))
+    rho = _load_rho(args) if args.rho else qcore.outer(_load_pure(args))
     _emit({cut: classify._ppt_min_eigenvalue(rho, cut) for cut in classify.CUTS}, args)
     return 0
 
@@ -145,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("scan-family", help="sweep the GHZ/W superposition family")
-    p.add_argument("--grid", type=int, default=1001)
+    p.add_argument("--grid", type=int, default=scanner.ScanConfig().grid_points)
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)

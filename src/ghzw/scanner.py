@@ -7,24 +7,13 @@ mixtures drawn from that window stay unwitnessed.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import classify, criterion, qcore, states
-
-CSV_COLUMNS = (
-    "a_sq",
-    "ghz_min",
-    "w_min",
-    "detected_by_ghz",
-    "detected_by_w",
-    "detected",
-    "genuinely_entangled",
-)
 
 
 @dataclass(frozen=True)
@@ -40,12 +29,13 @@ class ScanConfig:
     def __post_init__(self):
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
+    """One grid point of a sweep; the fields are the table's columns, in order."""
+
     a_sq: float
     ghz_min: float
     w_min: float
@@ -55,7 +45,10 @@ class ScanRow:
     genuinely_entangled: bool
 
     def to_dict(self) -> dict:
-        return {col: getattr(self, col) for col in CSV_COLUMNS}
+        return self._asdict()
+
+
+CSV_COLUMNS = ScanRow._fields
 
 
 @dataclass(frozen=True)
@@ -93,7 +86,7 @@ def scan_superposition_family(cfg: ScanConfig) -> list[ScanRow]:
     by_w = criterion.detects(w_min, cfg.tol)
     genuine = ~classify._biseparable(qcore._reduced_spectra(kets)).any(axis=1)
     columns = (grid, ghz_min, w_min, by_ghz, by_w, by_ghz | by_w, genuine)
-    return [ScanRow(*row) for row in zip(*(col.tolist() for col in columns))]
+    return list(map(ScanRow._make, zip(*(col.tolist() for col in columns))))
 
 
 def _simplex_weights(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -168,19 +161,17 @@ def _fmt(value) -> str:
 
 
 def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(getattr(row, col)) for col in CSV_COLUMNS])
-    return buf.getvalue()
+    # no field needs quoting: names, numbers and true/false
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows) -> str:
     # hand-rolled so floats appear as JSON numbers at 17 significant digits
     parts = []
     for row in rows:
-        fields = ", ".join(f'"{col}": {_fmt(v)}' for col, v in row.to_dict().items())
+        fields = ", ".join(f'"{col}": {_fmt(v)}' for col, v in zip(CSV_COLUMNS, row))
         parts.append("{" + fields + "}")
     return "[" + ", ".join(parts) + "]"
 

@@ -80,6 +80,14 @@ def test_genuine_entanglement_tol_validation():
         classify.is_genuinely_entangled_pure(states.make_xi(), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_genuine_entanglement_rejects_non_finite_tol(tol):
+    # NaN fails every comparison: a `tol <= 0` guard passes it, and then no
+    # cut of |000> reads as biseparable
+    with pytest.raises(ValueError):
+        classify.is_genuinely_entangled_pure(np.eye(8)[0], tol=tol)
+
+
 def test_ppt_min_eigenvalue_bell_pair():
     rho = qcore.outer(_bell_pair_with_spectator())
     assert abs(classify.ppt_min_eigenvalue(rho, "A") + 0.5) < 1e-12

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 
 import ghzw
-from ghzw import cli, scanner, states
+from ghzw import cli, qcore, scanner, states
 
 
 def write_state(path, psi):
@@ -170,6 +170,36 @@ def test_conflicting_state_flags(tmp_path):
     path = tmp_path / "s.json"
     write_state(path, states.make_ghz(0.0))
     assert cli.run(["analyze", "--builtin", "ghz", "--state", str(path)]) == 2
+
+
+def test_rho_excludes_builtin_and_state(tmp_path, capsys):
+    rho = tmp_path / "rho.json"
+    m = qcore.outer(states.make_ghz(0.0))
+    rho.write_text(json.dumps({"dims": [2, 2, 2], "matrix": [[[z.real, z.imag] for z in row] for row in m]}))
+    state = tmp_path / "s.json"
+    write_state(state, states.make_w(0.0, 0.0))
+    for cmd in ("analyze", "ppt"):
+        for other in (["--builtin", "w"], ["--state", str(state)], ["--state", str(tmp_path / "nothere.json")]):
+            assert cli.run([cmd, "--rho", str(rho), *other]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--rho" in captured.err
+        assert cli.run([cmd, "--rho", str(rho)]) == 0
+        capsys.readouterr()
+
+
+def test_nan_tol_exits_2(capsys):
+    for argv in (
+        ["analyze", "--builtin", "ghz", "--tol", "nan"],
+        ["scan-family", "--grid", "5", "--tol", "nan"],
+        ["mixtures", "--n-mixtures", "3", "--tol", "nan"],
+    ):
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_scan_family_default_grid_is_the_library_default():
+    args = cli.build_parser().parse_args(["scan-family"])
+    assert args.grid == scanner.ScanConfig().grid_points
 
 
 def test_missing_file_is_input_error(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -12,6 +13,12 @@ def test_scan_config_validation():
         scanner.ScanConfig(grid_points=1)
     with pytest.raises(ValueError):
         scanner.ScanConfig(tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_scan_config_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError):
+        scanner.ScanConfig(tol=tol)
 
 
 def test_family_state_endpoints():
@@ -120,3 +127,76 @@ def test_emit_table_deterministic(tmp_path):
     scanner.emit_table(scanner.scan_superposition_family(cfg), "csv", str(p1))
     scanner.emit_table(scanner.scan_superposition_family(cfg), "csv", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# The table as written by csv.writer and per-row dicts, with the column
+# order spelled out: the references for the tuple-based writers.
+REFERENCE_COLUMNS = (
+    "a_sq",
+    "ghz_min",
+    "w_min",
+    "detected_by_ghz",
+    "detected_by_w",
+    "detected",
+    "genuinely_entangled",
+)
+
+
+def _reference_csv(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(REFERENCE_COLUMNS)
+    for row in rows:
+        writer.writerow([scanner._fmt(getattr(row, col)) for col in REFERENCE_COLUMNS])
+    return buf.getvalue()
+
+
+def _reference_json(rows):
+    parts = []
+    for row in rows:
+        obj = {col: getattr(row, col) for col in REFERENCE_COLUMNS}
+        parts.append("{" + ", ".join(f'"{col}": {scanner._fmt(v)}' for col, v in obj.items()) + "}")
+    return "[" + ", ".join(parts) + "]"
+
+
+@pytest.mark.parametrize("grid", [2, 3, 121, 1001])
+def test_tables_match_the_reference_writers(grid):
+    rng = np.random.default_rng(grid)
+    for phases in [(0.0, 0.0, 0.0, 0.0), *rng.uniform(-np.pi, 2 * np.pi, (3, 4))]:
+        phi, gamma, beta, rel = map(float, phases)
+        cfg = scanner.ScanConfig(
+            grid_points=grid, phase_phi=phi, phase_gamma=gamma, phase_beta=beta, rel_phase_ab=rel
+        )
+        rows = scanner.scan_superposition_family(cfg)
+        assert scanner.rows_to_csv(rows).encode() == _reference_csv(rows).encode()
+        assert scanner.rows_to_json(rows).encode() == _reference_json(rows).encode()
+
+
+def test_scan_row_fields_are_the_columns():
+    assert scanner.ScanRow._fields == scanner.CSV_COLUMNS == REFERENCE_COLUMNS
+
+
+def test_scan_row_public_surface():
+    values = (0.25, 0.25, 0.0833, False, False, False, True)
+    row = scanner.ScanRow(
+        a_sq=0.25,
+        ghz_min=0.25,
+        w_min=0.0833,
+        detected_by_ghz=False,
+        detected_by_w=False,
+        detected=False,
+        genuinely_entangled=True,
+    )
+    assert row == scanner.ScanRow(*values)
+    assert row.w_min == 0.0833 and row.genuinely_entangled is True
+    assert repr(row) == (
+        "ScanRow(a_sq=0.25, ghz_min=0.25, w_min=0.0833, detected_by_ghz=False, "
+        "detected_by_w=False, detected=False, genuinely_entangled=True)"
+    )
+    assert list(row.to_dict()) == list(REFERENCE_COLUMNS)
+    assert list(row.to_dict().values()) == list(values)
+    assert hash(row) == hash(values)
+    # a row is a tuple: it iterates and compares as its values
+    assert tuple(row) == values and row == values
+    with pytest.raises(AttributeError):
+        row.a_sq = 0.5
