@@ -17,6 +17,20 @@ closed-form gradient and Hessian finds them, and a Poincare-Hopf index
 count checks that none is missing.  Remaining phases are absorbed into
 local Z rotations.
 
+Newton starts from the roots of one polynomial (after Tamaryan, Wei and
+Park, Phys. Rev. A 80, 052315 (2009)).  With rho = +-|D n + d| and a
+multiplier nu, both branches are critical where (nu - D^T D) n =
+rho g + D^T d.  In the eigenbasis of D^T D (eigenvalues s_i; g_i and e_i
+the components of g and D^T d; delta = |d|^2) take P = prod(nu - s_i),
+P_i = P / (nu - s_i), B = P + sum g_i^2 P_i, C = sum g_i e_i P_i and
+M = (nu + delta) B + sum e_i^2 P_i + sum_k (e x g)_k^2 (nu - s_k), and with
+A = (nu + delta) P + sum e_i^2 P_i write a = A / P, b = B / P, c = C / P
+(so M = P (ab - c^2)).  rho^2 = |D n + d|^2 reads rho^2 b = a and |n| = 1
+reads rho^2 b' + 2 rho c' + a' = 0; eliminating rho leaves the monic
+G12 = (M'P - MP')^2 + 4 (C'P - CP') (CM' - C'M) = 0 of degree 12.  Each
+root gives rho = -(ab)' / (2 b c'), its branch sign(rho), and then
+n_i = (rho g_i + e_i) / (nu - s_i).
+
 A generic state admits four such decompositions; the returned one is
 the representative with alpha in [0, pi], largest l0, then smallest
 alpha, then largest l1, l2, l3 and l4, each compared within _TIE_TOL.
@@ -86,6 +100,7 @@ _ROOT_TOL = 1e-10  # a Newton step this short has landed on a critical point
 _SAME_ROOT = 1e-6  # Bloch-vector distance within which two roots are one
 _SINGULAR = 1e-8  # |det| / |T|^2 at or below which a tangent Hessian T is singular
 _TANGLE_EPS = 1e-12  # three-tangle below which det M(v) = 0 has a double root
+_POLE = 1e-4  # relative |(g_i, e_i)| or gap of the s_i at or below which G12 seeds no pass
 
 
 def _bloch_form(tens: np.ndarray):
@@ -210,6 +225,48 @@ def _seeds(form, fibonacci: np.ndarray, n_scales: int, n_dirs: int) -> np.ndarra
     return np.concatenate(seeds)
 
 
+def _root_seeds(form):
+    """Seeds (K, 3) and their branch signs (K,) at the roots nu of G12 (module docstring).
+
+    A conjugate pair of complex roots seeds once, from its real part: where
+    two s_i nearly meet, true critical points can come back as such pairs.
+    None where (g_i, e_i) nearly vanishes for some i, or two s_i nearly
+    meet, within _POLE: critical points then sit at a pole nu = s_i, or in
+    a cluster of roots beside one too coarse to seed from.
+    """
+    g, d, dm = form
+    s, vec = np.linalg.eigh(dm.T @ dm)
+    gi, ei = g @ vec, (d @ dm) @ vec
+    if np.hypot(gi, ei).min() <= _POLE * np.sqrt(g @ g + ei @ ei) or np.diff(s).min() <= _POLE * s[-1]:
+        return None
+    # nu is counted from the middle s_i: rounding then spares the cluster where two s_i come close
+    mid, s = s[1], s - s[1]
+    s1, s2 = s.sum(), s[0] * s[1] + s[0] * s[2] + s[1] * s[2]
+    p = np.array([1.0, -s1, s2, -s.prod()])
+    p_i = np.column_stack([np.ones(3), s - s1, s2 - s * (s1 - s)])  # P / (nu - s_i)
+    w = (ei[[1, 2, 0]] * gi[[2, 0, 1]] - ei[[2, 0, 1]] * gi[[1, 2, 0]]) ** 2  # (e x g)_k^2
+    b, c = p + np.concatenate([[0.0], gi * gi @ p_i]), gi * ei @ p_i
+    m = np.convolve([1.0, d @ d + mid], b) + np.concatenate([[0.0, 0.0], ei * ei @ p_i]) + [0, 0, 0, w.sum(), -w @ s]
+    dp, dm_, dc = p[:-1] * [3, 2, 1], m[:-1] * [4, 3, 2, 1], c[:-1] * [2, 1]
+    wm, wc = np.convolve(dm_, p) - np.convolve(m, dp), np.convolve(dc, p) - np.convolve(c, dp)
+    g12 = np.convolve(wm, wm)
+    g12[3:] += 4.0 * np.convolve(wc, np.convolve(c, dm_) - np.convolve(dc, m))
+    companion = np.eye(12, k=-1)  # G12 is monic: np.roots without its trimming
+    companion[0] = -g12[1:]
+    nu = np.linalg.eigvals(companion)
+    nu = nu[nu.imag >= 0.0].real
+    powers = nu[:, None] ** np.arange(6, -1, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # rho = -(ab)' / (2 b c') = -(wm P + 2 C wc) / (2 B wc)
+        wc_nu = powers[:, 2:] @ wc
+        rho = -(powers @ wm * (powers[:, 3:] @ p) + 2.0 * (powers[:, 4:] @ c) * wc_nu)
+        rho /= 2.0 * (powers[:, 3:] @ b) * wc_nu
+        n = ((rho[:, None] * gi + ei) / (nu[:, None] - s)) @ vec.T
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+    ok = np.isfinite(n).all(axis=1) & (rho != 0.0)
+    return n[ok], np.sign(rho[ok])
+
+
 def _critical_points(tens: np.ndarray):
     """Critical points (Bloch vectors, branches, indices) of sigma_+^2 and sigma_-^2.
 
@@ -221,15 +278,27 @@ def _critical_points(tens: np.ndarray):
     points whose basins the other seeds fall into.  By Poincare-Hopf the
     indices on each branch sum to 2 on a Morse input, one with no singular
     tangent Hessian at a root and no double root of det M(v) = 0 (a
-    three-tangle not about 0); when the sum fails there, the search runs
-    once more from a denser seed set.
+    three-tangle not about 0).  Three passes run in turn until one stands:
+    the roots of G12 (:func:`_root_seeds`; not tried on a double root or
+    where it gives None), each on its own branch, stand only where the
+    sums hold with no singular Hessian; the Fibonacci and cone-ring seeds
+    of _SEEDS, on both branches, also stand where no sum can hold (a
+    singular Hessian or a double root); the denser _RETRY_SEEDS always
+    stand.
     """
     form = _bloch_form(tens)
     zeros, double = _det_zeros(tens)
-    for seed_set in (_SEEDS, _RETRY_SEEDS):
-        seeds = np.concatenate([zeros, _seeds(form, *seed_set)])
-        sgn = np.repeat([1.0, -1.0], len(seeds))
-        n, last, index = _newton(form, np.concatenate([seeds, seeds]), sgn)
+    roots = None if double else _root_seeds(form)
+    # () stands for the root pass
+    for seed_set in (_SEEDS, _RETRY_SEEDS) if roots is None else ((), _SEEDS, _RETRY_SEEDS):
+        if seed_set:
+            seeds = np.concatenate([zeros, _seeds(form, *seed_set)])
+            sgn = np.repeat([1.0, -1.0], len(seeds))
+            seeds = np.concatenate([seeds, seeds])
+        else:
+            seeds = np.concatenate([zeros, zeros, roots[0]])
+            sgn = np.concatenate([np.repeat([1.0, -1.0], len(zeros)), roots[1]])
+        n, last, index = _newton(form, seeds, sgn)
         found = last <= _ROOT_TOL
         n = np.concatenate([zeros, n[found]])
         branch = np.concatenate([np.ones(len(zeros), dtype=int), (sgn[found] < 0).astype(int)])
@@ -247,7 +316,9 @@ def _critical_points(tens: np.ndarray):
         keep = ~np.tril(near & (branch[:, None] == branch[None]), -1).any(axis=1)
         n, branch, index = n[keep], branch[keep], index[keep]
         counted = all(np.sum(index[branch == b]) == 2 for b in (0, 1))
-        if counted or double or np.any(index == 0):
+        singular = np.any(index == 0)
+        # a seed set also stands where no count can hold
+        if counted and not singular or seed_set and (double or singular):
             break
     return n, branch, index
 

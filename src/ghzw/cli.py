@@ -73,6 +73,9 @@ def _emit(payload, args) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    # checked before the route branch: the --rho route has no use for tol, but it is still an input
+    if not 0 < args.tol < np.inf:
+        raise InputError("tol must be finite and positive")
     if args.rho:
         verdict = criterion.ghzw_criterion(_load_rho(args))
         _emit({"criterion": verdict.to_dict()}, args)

@@ -197,6 +197,21 @@ def test_nan_tol_exits_2(capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_analyze_rejects_a_bad_tol_on_every_route(tmp_path, capsys):
+    rho = tmp_path / "rho.json"
+    m = qcore.outer(states.make_ghz(0.0))
+    rho.write_text(json.dumps({"dims": [2, 2, 2], "matrix": [[[z.real, z.imag] for z in row] for row in m]}))
+    state = tmp_path / "s.json"
+    write_state(state, states.make_w(0.0, 0.0))
+    for route in (["--rho", str(rho)], ["--builtin", "ghz"], ["--state", str(state)]):
+        for tol in ("nan", "inf", "0", "-5"):
+            assert cli.run(["analyze", *route, "--tol", tol]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "tol" in captured.err
+        assert cli.run(["analyze", *route, "--tol", "1e-9"]) == 0
+        capsys.readouterr()
+
+
 def test_scan_family_default_grid_is_the_library_default():
     args = cli.build_parser().parse_args(["scan-family"])
     assert args.grid == scanner.ScanConfig().grid_points

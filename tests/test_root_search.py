@@ -225,3 +225,134 @@ def test_seed_rings_are_orthonormal_to_the_cone_direction(m):
     for dirs in u:
         assert np.max(np.abs(dirs @ m)) <= 1e-10
         assert np.max(np.abs(dirs @ dirs.T - np.cos(phi[:, None] - phi[None]))) <= 1e-10
+
+
+def _root_pass(monkeypatch, tens):
+    """The critical points of the root pass alone, or None where it does not stand."""
+
+    def no_seed_sets(*args):
+        raise LookupError
+
+    with monkeypatch.context() as m:
+        m.setattr(canonical, "_seeds", no_seed_sets)
+        try:
+            return canonical._critical_points(tens)
+        except LookupError:
+            return None
+
+
+def _dense_search(monkeypatch, tens):
+    """The critical points of a _RETRY_SEEDS search, with no root pass."""
+    with monkeypatch.context() as m:
+        m.setattr(canonical, "_root_seeds", lambda form: None)
+        m.setattr(canonical, "_SEEDS", canonical._RETRY_SEEDS)
+        return canonical._critical_points(tens)
+
+
+def test_root_pass_finds_what_the_dense_search_finds(monkeypatch):
+    # 587, 707, 2020 and 2114 are the Haar seeds of 0-2999 on which the
+    # _SEEDS pass fails the count and the retry is needed
+    stood = []
+    for seed in [*range(200), 587, 707, 2020, 2114]:
+        tens = states.haar_random_pure(seed).reshape(2, 2, 2)
+        roots = _root_pass(monkeypatch, tens)
+        if roots is None:
+            continue
+        stood.append(seed)
+        dense = _dense_search(monkeypatch, tens)
+        for b in (0, 1):
+            n, index = roots[0][roots[1] == b], roots[2][roots[1] == b]
+            n_dense, index_dense = dense[0][dense[1] == b], dense[2][dense[1] == b]
+            assert len(n) == len(n_dense), seed
+            dist = np.linalg.norm(n[:, None] - n_dense[None], axis=2)
+            match = dist.argmin(axis=1)
+            assert sorted(match) == list(range(len(n_dense))), seed
+            assert dist.min(axis=1).max() <= 1e-9, seed
+            assert np.array_equal(index, index_dense[match]), seed
+    # seed 32 alone has a (g_i, e_i) within _POLE of 0, and takes the seed sets
+    assert len(stood) == 203
+
+
+def test_haar_seed_26_keeps_its_pick(monkeypatch):
+    # two eigenvalues of D^T D nearly meet (0.02220 and 0.02256) and G12 has a
+    # cluster of roots between them; the pick is the seed sets' pick
+    psi = states.haar_random_pure(26)
+    assert _root_pass(monkeypatch, psi.reshape(2, 2, 2)) is not None
+    params = canonical.acin_decompose(psi).params
+    lambdas = [0.5753901559141031, 0.45783919783618693, 0.12613125183564647, 0.6649202363102973, 0.03579698391334478]
+    assert np.max(np.abs(params.lambdas - lambdas)) <= 1e-12
+    assert abs(params.alpha - 0.4266253192061036) <= 1e-11
+
+
+def test_a_lost_root_fails_the_count_and_the_seed_sets_take_over(monkeypatch):
+    psi = states.haar_random_pure(0)
+    tens = psi.reshape(2, 2, 2)
+    form = canonical._bloch_form(tens)
+    zeros, _ = canonical._det_zeros(tens)
+    roots, signs = canonical._root_seeds(form)
+    # the root pass's Newton: the zeros on both branches, then the roots
+    sgn = np.concatenate([np.repeat([1.0, -1.0], len(zeros)), signs])
+    n, last, _ = canonical._newton(form, np.concatenate([zeros, zeros, roots]), sgn)
+    found = last <= canonical._ROOT_TOL
+    # a root whose critical point no other seed reaches, nor is a zero of det M(v)
+    same = (sgn[:, None] == sgn[None]) & (np.linalg.norm(n[:, None] - n[None], axis=2) <= 1e-6) & found[None]
+    np.fill_diagonal(same, False)
+    at_zero = (sgn < 0) & (np.linalg.norm(n[:, None] - zeros[None], axis=2).min(axis=1) <= 1e-6)
+    lone = np.flatnonzero((found & ~same.any(axis=1) & ~at_zero)[2 * len(zeros) :])[0]
+    base = canonical.acin_decompose(psi).params
+
+    root_seeds, seed_sets, calls = canonical._root_seeds, canonical._seeds, []
+    monkeypatch.setattr(canonical, "_root_seeds", lambda form: tuple(np.delete(x, lone, axis=0) for x in root_seeds(form)))
+    assert _root_pass(monkeypatch, tens) is None
+    monkeypatch.setattr(canonical, "_seeds", lambda form, *seed_set: calls.append(seed_set) or seed_sets(form, *seed_set))
+    moved = canonical.acin_decompose(psi).params
+    assert calls[0][0] is canonical._SEEDS[0]
+    assert np.max(np.abs(moved.lambdas - base.lambdas)) <= 1e-12
+    assert abs(moved.alpha - base.alpha) <= 1e-11
+
+
+# kets 1e-3 off planted five-term states: in A one (g_i, e_i) is 5e-4 of its
+# scale, in B two eigenvalues of D^T D are 8e-4 apart as well; roots of G12
+# cluster beside those poles
+_NEAR_POLE_KETS = {
+    "A": [
+        -0.023193582097901313 + 0.3688331575962674j, 0.4976106639882531 + 0.15710647428817742j,
+        -0.057431192628382935 - 0.024086543811870753j, 0.1318912532995007 - 0.5401528131209261j,
+        -0.313300689161204 + 0.3408871591294386j, 0.154648851604359 + 0.039577868615850935j,
+        -0.07597684743162578 + 0.10454677538473535j, 0.03684450980887281 + 0.14206475693522266j,
+    ],
+    "B": [
+        0.18902219748971782 - 0.1693292934544473j, -0.17138680846504822 + 0.16248939522856473j,
+        0.39703284693155844 + 0.03214943841636482j, -0.03632940996178259 - 0.24537955797012656j,
+        -0.32711035168613717 - 0.3079458469973951j, -0.07222940161054427 - 0.4877083496865763j,
+        -0.3295389355821031 + 0.034909983713060797j, 0.22268153553589898 + 0.2351856822931481j,
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_root_pass_beside_a_pole_picks_as_the_seed_sets(monkeypatch, name):
+    psi = np.array(_NEAR_POLE_KETS[name])
+    assert _root_pass(monkeypatch, psi.reshape(2, 2, 2)) is not None
+    base = canonical.acin_decompose(psi).params
+    monkeypatch.setattr(canonical, "_root_seeds", lambda form: None)
+    dense = canonical.acin_decompose(psi).params
+    assert np.max(np.abs(base.lambdas - dense.lambdas)) <= 1e-12
+    assert abs(base.alpha - dense.alpha) <= 1e-11
+
+
+def test_complex_roots_seed_critical_points_the_real_roots_miss(monkeypatch):
+    tens = np.array(_NEAR_POLE_KETS["A"]).reshape(2, 2, 2)
+    assert _root_pass(monkeypatch, tens) is not None
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a)[eigvals(a).imag == 0.0])
+    assert _root_pass(monkeypatch, tens) is None
+
+
+def test_a_double_root_skips_the_root_pass(monkeypatch):
+    def refuse(form):
+        raise AssertionError("the root pass ran on a double root of det M(v) = 0")
+
+    monkeypatch.setattr(canonical, "_root_seeds", refuse)
+    result = canonical.acin_decompose(states.make_w())
+    assert abs(result.params.lambda0 - np.sqrt(2.0) / 3.0) <= 1e-9
