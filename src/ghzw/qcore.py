@@ -1,8 +1,11 @@
 """Dense complex linear algebra for three qubits.
 
-Kets are 1-d complex numpy arrays, operators are 8x8 complex numpy
-arrays.  Kets of dimension 2 and 4 are admitted only as tensor factors;
-the toolkit is three-qubit specific by design.
+Kets are 1-d complex numpy arrays of 8 amplitudes, operators are 8x8
+complex numpy arrays; the toolkit is three-qubit specific by design.
+Kets and density matrices are checked in :mod:`ghzw.states`
+(check_kets, check_pure, check_density_matrix), and the private kernels
+here take checked input.  outer makes its own check: 8 finite
+amplitudes, of any norm.
 
 Basis convention: the computational-basis index of |q_A q_B q_C> is
 k = 4*q_A + 2*q_B + q_C (qubit A most significant), so |111> sits at
@@ -12,8 +15,6 @@ index 7.
 from __future__ import annotations
 
 import numpy as np
-
-ALLOWED_DIMS = (2, 4, 8)
 
 #: qubit labels A, B, C map to tensor slots 0, 1, 2
 QUBIT_SLOTS = {"A": 0, "B": 1, "C": 2}
@@ -32,38 +33,13 @@ def qubit_slot(label) -> int:
     return slot
 
 
-def as_ket(amps) -> np.ndarray:
-    """Validate and return a ket as a complex numpy array."""
-    ket = np.asarray(amps, dtype=complex).reshape(-1)
-    if ket.size not in ALLOWED_DIMS:
-        raise ValueError(f"ket dimension must be one of {ALLOWED_DIMS}, got {ket.size}")
-    if not np.isfinite(ket).all():
-        raise ValueError("ket amplitudes must be finite")
-    return ket
-
-
-def as_operator(entries) -> np.ndarray:
-    """Validate and return a three-qubit operator as an 8x8 complex numpy array."""
-    op = np.asarray(entries, dtype=complex)
-    if op.shape != (8, 8):
-        raise ValueError(f"operator must be 8x8, got shape {op.shape}")
-    if not np.isfinite(op).all():
-        raise ValueError("operator entries must be finite")
-    return op
-
-
-def tensor(x, y) -> np.ndarray:
-    """Tensor product of two kets; total dimension must stay <= 8."""
-    x = as_ket(x)
-    y = as_ket(y)
-    if x.size * y.size > 8:
-        raise ValueError(f"tensor product dimension {x.size * y.size} exceeds 8")
-    return np.kron(x, y)
-
-
 def outer(x) -> np.ndarray:
-    """Projector-style outer product |x><x| (Hermitian, rank <= 1)."""
-    x = as_ket(x)
+    """Projector-style outer product |x><x| (Hermitian, rank <= 1) of 8 finite amplitudes, any norm."""
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    if x.size != 8:
+        raise ValueError(f"ket must hold 8 amplitudes, got {x.size}")
+    if not np.isfinite(x).all():
+        raise ValueError("ket amplitudes must be finite")
     return np.outer(x, x.conj())
 
 

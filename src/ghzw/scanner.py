@@ -29,6 +29,8 @@ class ScanConfig:
     def __post_init__(self):
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be finite and positive")
 
@@ -190,8 +192,4 @@ def emit_table(rows, format: str, destination) -> None:
     if hasattr(destination, "write"):
         destination.write(text)
         return
-    path = os.fspath(destination)
-    try:
-        states._atomic_write(path, text)
-    except OSError as exc:
-        raise OSError(f"failed writing table to {path}: {exc}") from exc
+    states._atomic_write(os.fspath(destination), text)

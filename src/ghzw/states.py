@@ -86,11 +86,15 @@ def check_kets(kets) -> np.ndarray:
 def check_density_matrix(rho) -> np.ndarray:
     """Validate an 8x8 Hermitian, PSD, unit-trace matrix and return it unchanged.
 
-    The package's one density-matrix check: shape and finiteness
-    (qcore.as_operator), Hermiticity, trace and spectrum, each once.
-    Code given its result checks nothing again.
+    The package's one density-matrix check: shape, finiteness,
+    Hermiticity, trace and spectrum, each once.  Code given its result
+    checks nothing again.
     """
-    rho = qcore.as_operator(rho)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (8, 8):
+        raise ValueError(f"operator must be 8x8, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("operator entries must be finite")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise ValueError(f"density matrix is not Hermitian within {HERMITICITY_TOL}")
     if abs(np.trace(rho).real - 1.0) > DM_TOL:
@@ -218,19 +222,23 @@ def _atomic_write(path: str, text: str) -> None:
     """Write text to path through a sibling temp file and a rename.
 
     The temp file is opened with mode 0o666, so the umask applies as it
-    would for open(path, "w"); mkstemp's 0o600 would leak into path.
+    would for open(path, "w"); mkstemp's 0o600 would leak into path.  An
+    OSError names path, never the temp file, and keeps the failed call's errno.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def load_state(path: str) -> np.ndarray:

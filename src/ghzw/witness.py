@@ -45,8 +45,8 @@ def w_witness(gamma: float = 0.0, beta: float = 0.0) -> Witness:
 
 
 def expectation(w: Witness, rho) -> float:
-    """Tr(W rho) = lambda_const - <ref|rho|ref>."""
-    rho = qcore.as_operator(rho)
+    """Tr(W rho) = lambda_const - <ref|rho|ref> on a density matrix rho (states.check_density_matrix)."""
+    rho = states.check_density_matrix(rho)
     ref = w.reference
     return float(w.lambda_const - np.vdot(ref, rho @ ref).real)
 

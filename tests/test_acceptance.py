@@ -162,7 +162,7 @@ def test_criterion_8_ppt_sanity():
             for _ in range(3):
                 v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 kets.append(v / np.linalg.norm(v))
-            components.append((float(wgt), qcore.tensor(qcore.tensor(kets[0], kets[1]), kets[2])))
+            components.append((float(wgt), np.kron(np.kron(kets[0], kets[1]), kets[2])))
         mixture = states.mix(components)
         for cut in ("A", "B", "C"):
             assert classify.ppt_min_eigenvalue(mixture, cut) >= -1e-10

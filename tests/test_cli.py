@@ -161,6 +161,13 @@ def test_output_flag_writes_file(tmp_path):
     assert payload["detected"] is False
 
 
+def test_output_into_a_missing_directory_names_the_path(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "verdict.json")
+    assert cli.run(["analyze", "--builtin", "xi", "--output", path]) == 1
+    err = capsys.readouterr().err
+    assert repr(path) in err and ".tmp" not in err
+
+
 def test_missing_state_is_input_error(capsys):
     assert cli.run(["analyze"]) == 2
     assert "state" in capsys.readouterr().err

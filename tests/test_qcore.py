@@ -5,28 +5,11 @@ from ghzw import qcore, states, witness
 
 
 def test_basis_index_convention():
-    assert np.allclose(
-        qcore.tensor(qcore.tensor([1, 0], [1, 0]), [1, 0]), np.eye(8)[0]
-    )
-    assert np.allclose(
-        qcore.tensor(qcore.tensor([0, 1], [0, 1]), [0, 1]), np.eye(8)[7]
-    )
+    zero, one = np.array([1, 0]), np.array([0, 1])
+    assert np.allclose(np.kron(np.kron(zero, zero), zero), np.eye(8)[0])
+    assert np.allclose(np.kron(np.kron(one, one), one), np.eye(8)[7])
     # |q_A q_B q_C> sits at 4 q_A + 2 q_B + q_C: |110> -> 6
-    assert np.allclose(
-        qcore.tensor(qcore.tensor([0, 1], [0, 1]), [1, 0]), np.eye(8)[6]
-    )
-
-
-def test_tensor_superposition():
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    out = qcore.tensor(plus, [1, 0])
-    assert out.shape == (4,)
-    assert np.allclose(out, [1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 0.0])
-
-
-def test_tensor_rejects_oversize():
-    with pytest.raises(ValueError):
-        qcore.tensor(np.ones(4) / 2, np.ones(4) / 2)
+    assert np.allclose(np.kron(np.kron(one, one), zero), np.eye(8)[6])
 
 
 def test_inner_products():
@@ -79,14 +62,16 @@ def test_hermitian_eigs_witness_spectrum():
 
 
 def test_dimension_guards():
-    with pytest.raises(ValueError):
-        qcore.as_ket(np.ones(3))
-    with pytest.raises(ValueError):
-        qcore.as_operator(np.ones((8, 4)))
-    with pytest.raises(ValueError):
-        qcore.as_operator(np.eye(4))
-    with pytest.raises(ValueError):
-        qcore.as_ket([np.nan, 0.0])
+    with pytest.raises(ValueError, match="8 amplitudes"):
+        qcore.outer(np.ones(3))
+    with pytest.raises(ValueError, match="8x8"):
+        states.check_density_matrix(np.ones((8, 4)))
+    with pytest.raises(ValueError, match="8x8"):
+        states.check_density_matrix(np.eye(4))
+    with pytest.raises(ValueError, match="ket amplitudes must be finite"):
+        qcore.outer([np.nan] + [0.0] * 7)
+    with pytest.raises(ValueError, match="operator entries must be finite"):
+        states.check_density_matrix(np.full((8, 8), np.nan))
     with pytest.raises(ValueError):
         qcore.qubit_slot("D")
 

@@ -356,3 +356,24 @@ def test_a_double_root_skips_the_root_pass(monkeypatch):
     monkeypatch.setattr(canonical, "_root_seeds", refuse)
     result = canonical.acin_decompose(states.make_w())
     assert abs(result.params.lambda0 - np.sqrt(2.0) / 3.0) <= 1e-9
+
+
+# a planted five-term state (lambdas U(0.2, 1) with 1-2 zeros, a unitary_group
+# frame) kicked by a small Gaussian ket, draw 109 of default_rng(3): the
+# eigenvalues 1.47e-7 and 2.46e-7 of D^T D (beside 5.56e-2) are within _POLE
+# of each other, so the root pass is not tried, and both seed sets fail the
+# index count (branch 0 sums to 1, best residual 5.3e-4).  100 of 1200 such
+# kets, kicked by 10^U(-8, -1), raise alike, at kicks from 1e-8 to 3e-3
+# (ROADMAP item 2).
+_NEAR_STRATUM_KET = [
+    0.25250560523264964 - 0.0801820748899821j, 0.014650115233304464 - 0.23706172963748334j,
+    0.022958480745323265 - 0.18032748248582728j, -0.010720423790581569 + 0.03917095575947783j,
+    -0.5562704116693962 - 0.4090896809057808j, -0.4018882209055507 + 0.2324369559189251j,
+    -0.2584288122289183 + 0.09157037913303752j, 0.20582984034652396 + 0.16981093490875276j,
+]
+
+
+@pytest.mark.xfail(strict=True, raises=canonical.DecompositionError)
+def test_a_ket_beside_a_planted_stratum_decomposes():
+    result = canonical.acin_decompose(np.array(_NEAR_STRATUM_KET))
+    assert result.residual <= canonical.RESIDUAL_TOL

@@ -15,6 +15,12 @@ def test_scan_config_validation():
         scanner.ScanConfig(tol=0.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_scan_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        scanner.ScanConfig(seed=seed)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
 def test_scan_config_rejects_non_finite_tol(tol):
     with pytest.raises(ValueError):
@@ -119,6 +125,14 @@ def test_emit_table_to_stream_and_path(tmp_path):
     assert path.read_text() == buf.getvalue()
     with pytest.raises(ValueError):
         scanner.emit_table(rows, "yaml", buf)
+
+
+def test_emit_table_into_a_missing_directory_names_the_path(tmp_path):
+    path = str(tmp_path / "missing" / "rows.csv")
+    with pytest.raises(FileNotFoundError) as info:
+        scanner.emit_table(_tiny_rows(), "csv", path)
+    assert info.value.filename == path
+    assert ".tmp" not in str(info.value)
 
 
 def test_emit_table_deterministic(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ghzw import classify, criterion, qcore, states
+from ghzw import classify, criterion, states, witness
 
 
 def _count(monkeypatch, module, name):
@@ -24,21 +24,22 @@ def _full_rank_rho():
     return rho
 
 
-def _operator_passes(monkeypatch, fn):
-    as_operator = _count(monkeypatch, qcore, "as_operator")
+def _rho_passes(monkeypatch, fn):
+    calls = _count(monkeypatch, states, "check_density_matrix")
     fn()
-    return len(as_operator)
+    return len(calls)
 
 
-def test_full_rank_criterion_checks_rho_once(monkeypatch):
-    rho = _full_rank_rho()
-    assert _operator_passes(monkeypatch, lambda: criterion.ghzw_criterion(rho)) == 1
-
-
+# criterion.ghzw_criterion's count is tests/test_entry_points.py's
 @pytest.mark.parametrize("cut", classify.CUTS)
 def test_ppt_cut_checks_rho_once(monkeypatch, cut):
     rho = _full_rank_rho()
-    assert _operator_passes(monkeypatch, lambda: classify.ppt_min_eigenvalue(rho, cut)) == 1
+    assert _rho_passes(monkeypatch, lambda: classify.ppt_min_eigenvalue(rho, cut)) == 1
+
+
+def test_expectation_checks_rho_once(monkeypatch):
+    rho = _full_rank_rho()
+    assert _rho_passes(monkeypatch, lambda: witness.expectation(witness.ghz_witness(), rho)) == 1
 
 
 @pytest.mark.parametrize("entry", [criterion.ghzw_criterion_pure, classify.is_genuinely_entangled_pure])

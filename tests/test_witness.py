@@ -37,6 +37,12 @@ def test_expectation_matches_matrix_trace():
     assert abs(direct - via_matrix) < 1e-12
 
 
+def test_expectation_rejects_a_matrix_that_is_not_a_state():
+    rho = states.mix([(0.6, states.make_xi()), (0.4, states.make_ghz(0.5))])
+    with pytest.raises(ValueError, match="trace"):
+        witness.expectation(witness.ghz_witness(), 2 * rho)
+
+
 def test_witness_validation():
     with pytest.raises(ValueError):
         witness.Witness(np.ones(8), 0.5)
