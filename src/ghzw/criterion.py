@@ -88,12 +88,6 @@ def min_w_expectation_pure(psi) -> tuple[float, float, float]:
     return verdict.w_min, verdict.w_opt_gamma, verdict.w_opt_beta
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    # Python's ** (libm pow) can round x**2 one ulp away from numpy's x*x;
-    # squaring as the scalar closed forms always did keeps outputs stable
-    return np.array([v**2 for v in x.tolist()])
-
-
 def _pure_minima(kets: np.ndarray) -> tuple:
     """Both pure-state minima with their phases on validated (N, 8) kets.
 
@@ -103,8 +97,8 @@ def _pure_minima(kets: np.ndarray) -> tuple:
     """
     mod = np.hypot(kets.real, kets.imag)  # rounds as scalar abs(); np.abs may not
     arg = np.angle(kets)
-    ghz = 0.5 - _squares(mod[:, 0] + mod[:, 7]) / 2.0
-    w = 2.0 / 3.0 - _squares(mod[:, 1] + mod[:, 2] + mod[:, 4]) / 3.0
+    ghz = 0.5 - np.square(mod[:, 0] + mod[:, 7]) / 2.0
+    w = 2.0 / 3.0 - np.square(mod[:, 1] + mod[:, 2] + mod[:, 4]) / 3.0
     phased = mod > _PHASE_EPS
     phi = np.where((mod[:, 0] >= _PHASE_EPS) & (mod[:, 7] >= _PHASE_EPS), arg[:, 7] - arg[:, 0], 0.0)
     gamma = np.where(phased[:, 1] & phased[:, 2], arg[:, 2] - arg[:, 1], 0.0)

@@ -2,10 +2,11 @@
 
 The constant Lambda is the maximum squared overlap between the
 reference state and the biseparable set (states product across at least
-one bipartition).  Two independent routes compute it: a closed form via
-reduced-state eigenvalues, and seeded alternating ascents over
-biseparable product states, read off a power of each cut's 2x2 Gram
-matrix formed by repeated squaring.
+one bipartition).  Two routes read it off the same cut matrices
+(``qcore._SOLO_INDEX``) and share nothing else: the reduced spectra in
+closed form (hypot top value, Lagrange-identity determinant), and seeded
+alternating ascents, at the default budget the power method on each
+cut's Gram matrix G = m m^H by matmul; the starts matter only at small iters.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ def _ascents(mats: np.ndarray, starts: np.ndarray, iters: int) -> np.ndarray:
 def lambda_bound_stochastic(psi, seed: int, restarts: int = 32, iters: int = 2**60) -> float:
     """Seeded alternating-ascent estimate of the biseparable overlap bound.
 
-    Restart r draws from default_rng(seed + r) one start ket per
-    solo-vs-pair cut, and the bound is the largest overlap that the
+    Restart r takes draws 24r to 24r + 23 of one default_rng(seed) stream,
+    one start ket per solo-vs-pair cut, so the starts of k restarts are a
+    prefix of those of more.  The bound is the largest overlap that the
     3 * restarts ascents reach after `iters` power steps each (see
     :func:`_ascents`: matrix products only, no step-by-step loop).  The
     default budget resolves a gap between a cut's two squared Schmidt
@@ -120,7 +122,7 @@ def lambda_bound_stochastic(psi, seed: int, restarts: int = 32, iters: int = 2**
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
     psi = states.check_pure(psi)
-    draws = np.stack([np.random.default_rng(seed + r).standard_normal((3, 2, 4)) for r in range(restarts)])
+    draws = np.random.default_rng(seed).standard_normal((restarts, 3, 2, 4))
     return float(_ascents(psi[qcore._SOLO_INDEX], draws[:, :, 0] + 1j * draws[:, :, 1], iters).max())
 
 

@@ -32,10 +32,11 @@ def ket_batches(draw):
 
 
 def _minima_by_scalars(c):
-    """The pure-state closed forms one ket at a time, with scalar abs and **."""
-    ghz = 0.5 - (abs(c[0]) + abs(c[7])) ** 2 / 2.0
+    """The pure-state closed forms one ket at a time, with scalar abs and *."""
+    ghz_sum, w_sum = abs(c[0]) + abs(c[7]), abs(c[1]) + abs(c[2]) + abs(c[4])
+    ghz = 0.5 - ghz_sum * ghz_sum / 2.0
     phi = 0.0 if abs(c[0]) < EPS or abs(c[7]) < EPS else np.angle(c[7]) - np.angle(c[0])
-    w = 2.0 / 3.0 - (abs(c[1]) + abs(c[2]) + abs(c[4])) ** 2 / 3.0
+    w = 2.0 / 3.0 - w_sum * w_sum / 3.0
     gamma = np.angle(c[2]) - np.angle(c[1]) if abs(c[2]) > EPS and abs(c[1]) > EPS else 0.0
     beta = np.angle(c[4]) - np.angle(c[1]) if abs(c[4]) > EPS and abs(c[1]) > EPS else 0.0
     return ghz, phi, w, gamma, beta
@@ -117,11 +118,11 @@ def test_scan_rows_equal_the_scalar_api(phases, grid):
 
 
 def test_scan_squares_as_the_scalar_closed_form():
-    # at a_sq = 0.0992 Python's ** and numpy's x*x round (|c0| + |c7|)^2
-    # differently: 0x1.9652bd3c36113p-3 against ...112p-3
+    # at a_sq = 0.0992 libm pow (Python's **) rounds (|c0| + |c7|)^2 one ulp up,
+    # to 0x1.9652bd3c36113p-3; x*x gives the correctly rounded ...112p-3
     row = scanner.scan_superposition_family(scanner.ScanConfig(grid_points=10001))[992]
-    assert row.ghz_min == 0.5 - float.fromhex("0x1.9652bd3c36113p-3") / 2.0
-    assert row.ghz_min.hex() == "0x1.9a6b50b0f27bbp-2"
+    assert row.ghz_min == 0.5 - float.fromhex("0x1.9652bd3c36112p-3") / 2.0
+    assert row.ghz_min.hex() == "0x1.9a6b50b0f27bcp-2"
 
 
 @settings(max_examples=20, deadline=None)

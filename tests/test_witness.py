@@ -85,7 +85,7 @@ def test_lambda_bound_stochastic_validates_seed():
     # a negative seed is named before the (here invalid) state is looked at
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         witness.lambda_bound_stochastic(np.ones(8), seed=-3)
-    # numpy integers become Python ints, so seed + restart index cannot wrap
+    # numpy integers are taken as the Python ints they hold
     big = witness.lambda_bound_stochastic(w, seed=np.int64(2**63 - 5), restarts=8)
     assert big == witness.lambda_bound_stochastic(w, seed=2**63 - 5, restarts=8)
     assert abs(big - 2 / 3) < 1e-9
@@ -121,21 +121,15 @@ def _ascend_cut(psi, slot, rng, iters):
 
 
 def _reference_overlaps(psi, seed, restarts, iters):
-    """Per-ascent overlaps, restart-major, from the scalar loop."""
-    overlaps = []
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        overlaps += [_ascend_cut(psi, slot, rng, iters) for slot in range(3)]
-    return np.array(overlaps)
+    """Per-ascent overlaps, restart-major, from the scalar loop on one default_rng(seed) stream."""
+    rng = np.random.default_rng(seed)
+    return np.array([_ascend_cut(psi, slot, rng, iters) for _ in range(restarts) for slot in range(3)])
 
 
 def _start_kets(seed, restarts):
     """The start kets of the scalar loop, drawn the way it draws them."""
-    starts = []
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        starts += [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
-    return np.array(starts)
+    rng = np.random.default_rng(seed)
+    return np.array([rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3 * restarts)])
 
 
 def _ghz_like(cos_sq):
@@ -243,6 +237,30 @@ def test_lambda_bound_stochastic_matches_scalar_reference(psi, seed, restarts, i
     assert abs(got - _reference_overlaps(psi, seed, restarts, iters).max()) <= 1e-15
     analytic = witness.lambda_bound_analytic(psi)
     assert analytic - 1e-14 <= witness.lambda_bound_stochastic(psi, seed) <= analytic + 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(psi=_KETS, seed=st.integers(min_value=0, max_value=2**31 - 1), iters=st.sampled_from([1, 2, 5]))
+def test_lambda_bound_stochastic_restarts_extend_one_stream(psi, seed, iters):
+    # restart r takes draws 24r to 24r + 23, so k restarts run the first 3k ascents of any larger count
+    overlaps = _reference_overlaps(psi, seed, 6, iters)
+    bounds = [witness.lambda_bound_stochastic(psi, seed, restarts=k, iters=iters) for k in range(1, 7)]
+    for k, bound in enumerate(bounds, 1):
+        assert abs(bound - overlaps[: 3 * k].max()) <= 1e-15
+    assert bounds == sorted(bounds)
+
+
+def test_lambda_bound_stochastic_builds_one_generator(monkeypatch):
+    psi, built = states.haar_random_pure(3), []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    witness.lambda_bound_stochastic(psi, seed=5)
+    assert len(built) == 1
 
 
 def _random_biseparable(rng):
