@@ -29,7 +29,12 @@ A = (nu + delta) P + sum e_i^2 P_i write a = A / P, b = B / P, c = C / P
 reads rho^2 b' + 2 rho c' + a' = 0; eliminating rho leaves the monic
 G12 = (M'P - MP')^2 + 4 (C'P - CP') (CM' - C'M) = 0 of degree 12.  Each
 root gives rho = -(ab)' / (2 b c'), its branch sign(rho), and then
-n_i = (rho g_i + e_i) / (nu - s_i).
+n_i = (rho g_i + e_i) / (nu - s_i).  A real root is accounted when this n,
+before it is normalised, lies on the unit sphere within _ON_SPHERE: it
+then sits on its critical point.  Four stages run, each only where the
+one before fails: Newton from the accounted roots alone, where each must
+reach a point of its own and, with the two zeros of det T1, pass the
+index count; from every root and both zeros; from _SEEDS; from _RETRY_SEEDS.
 
 A generic state admits four such decompositions; the returned one is
 the representative with alpha in [0, pi], largest l0, then smallest
@@ -63,8 +68,8 @@ class LocalUnitaries:
     def __post_init__(self):
         _check_unitary(np.array([self.u_a, self.u_b, self.u_c]))
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return _apply(np.array([[self.u_a, self.u_b, self.u_c]]), psi)[0]
+    def apply(self, psi) -> np.ndarray:
+        return _apply(np.array([[self.u_a, self.u_b, self.u_c]]), states.check_pure(psi))[0]
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,7 @@ _SAME_ROOT = 1e-6  # Bloch-vector distance within which two roots are one
 _SINGULAR = 1e-8  # |det| / |T|^2 at or below which a tangent Hessian T is singular
 _TANGLE_EPS = 1e-12  # three-tangle below which det M(v) = 0 has a double root
 _POLE = 1e-4  # relative |(g_i, e_i)| or gap of the s_i at or below which G12 seeds no pass
+_ON_SPHERE = 1e-3  # largest | |n(nu)| - 1 | of an accounted real root of G12
 
 
 def _bloch_form(tens: np.ndarray):
@@ -226,7 +232,7 @@ def _seeds(form, fibonacci: np.ndarray, n_scales: int, n_dirs: int) -> np.ndarra
 
 
 def _root_seeds(form):
-    """Seeds (K, 3) and their branch signs (K,) at the roots nu of G12 (module docstring).
+    """Seeds (K, 3), branch signs (K,) and accounted flags (K,) at the roots nu of G12 (module docstring).
 
     A conjugate pair of complex roots seeds once, from its real part: where
     two s_i nearly meet, true critical points can come back as such pairs.
@@ -254,7 +260,8 @@ def _root_seeds(form):
     companion = np.eye(12, k=-1)  # G12 is monic: np.roots without its trimming
     companion[0] = -g12[1:]
     nu = np.linalg.eigvals(companion)
-    nu = nu[nu.imag >= 0.0].real
+    nu = nu[nu.imag >= 0.0]
+    real, nu = nu.imag == 0.0, nu.real
     powers = nu[:, None] ** np.arange(6, -1, -1)
     with np.errstate(divide="ignore", invalid="ignore"):
         # rho = -(ab)' / (2 b c') = -(wm P + 2 C wc) / (2 B wc)
@@ -262,9 +269,10 @@ def _root_seeds(form):
         rho = -(powers @ wm * (powers[:, 3:] @ p) + 2.0 * (powers[:, 4:] @ c) * wc_nu)
         rho /= 2.0 * (powers[:, 3:] @ b) * wc_nu
         n = ((rho[:, None] * gi + ei) / (nu[:, None] - s)) @ vec.T
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        norm = np.linalg.norm(n, axis=1)
+        n /= norm[:, None]
     ok = np.isfinite(n).all(axis=1) & (rho != 0.0)
-    return n[ok], np.sign(rho[ok])
+    return n[ok], np.sign(rho[ok]), (real & (np.abs(norm - 1.0) <= _ON_SPHERE))[ok]
 
 
 def _critical_points(tens: np.ndarray):
@@ -278,20 +286,25 @@ def _critical_points(tens: np.ndarray):
     points whose basins the other seeds fall into.  By Poincare-Hopf the
     indices on each branch sum to 2 on a Morse input, one with no singular
     tangent Hessian at a root and no double root of det M(v) = 0 (a
-    three-tangle not about 0).  Three passes run in turn until one stands:
-    the roots of G12 (:func:`_root_seeds`; not tried on a double root or
-    where it gives None), each on its own branch, stand only where the
-    sums hold with no singular Hessian; the Fibonacci and cone-ring seeds
-    of _SEEDS, on both branches, also stand where no sum can hold (a
-    singular Hessian or a double root); the denser _RETRY_SEEDS always
-    stand.
+    three-tangle not about 0).  Four stages run in turn until one stands.
+    The accounted roots of G12 (:func:`_root_seeds`), each on its own
+    branch, stand where their accounting holds: every one converges, with
+    the zeros they give pairwise distinct points (no root reached twice,
+    none lost), and the sums hold with no singular Hessian.  All the roots,
+    with the zeros on both branches, stand where the sums hold with no
+    singular Hessian; neither root stage runs on a double root or where
+    :func:`_root_seeds` gives None.  The Fibonacci and cone-ring seeds of
+    _SEEDS, on both branches, also stand where no sum can hold (a singular
+    Hessian or a double root); the denser _RETRY_SEEDS always stand.
     """
     form = _bloch_form(tens)
     zeros, double = _det_zeros(tens)
     roots = None if double else _root_seeds(form)
-    # () stands for the root pass
-    for seed_set in (_SEEDS, _RETRY_SEEDS) if roots is None else ((), _SEEDS, _RETRY_SEEDS):
-        if seed_set:
+    # None stands for the accounted roots, () for the whole root pass
+    for seed_set in (_SEEDS, _RETRY_SEEDS) if roots is None else (None, (), _SEEDS, _RETRY_SEEDS):
+        if seed_set is None:
+            seeds, sgn = roots[0][roots[2]], roots[1][roots[2]]
+        elif seed_set:
             seeds = np.concatenate([zeros, _seeds(form, *seed_set)])
             sgn = np.repeat([1.0, -1.0], len(seeds))
             seeds = np.concatenate([seeds, seeds])
@@ -316,6 +329,8 @@ def _critical_points(tens: np.ndarray):
         keep = ~np.tril(near & (branch[:, None] == branch[None]), -1).any(axis=1)
         n, branch, index = n[keep], branch[keep], index[keep]
         counted = all(np.sum(index[branch == b]) == 2 for b in (0, 1))
+        # the accounted roots count only where each reaches a point of its own
+        counted &= seed_set is not None or found.all() and len(n) == len(zeros) + len(seeds)
         singular = np.any(index == 0)
         # a seed set also stands where no count can hold
         if counted and not singular or seed_set and (double or singular):

@@ -22,6 +22,21 @@ def test_local_unitaries_validation_and_apply():
     lu = canonical.LocalUnitaries(np.eye(2), np.eye(2), np.array([[0, 1], [1, 0]]))
     flipped = lu.apply(np.eye(8)[0])
     assert np.allclose(flipped, np.eye(8)[1])
+    assert np.allclose(lu.apply([1, 0, 0, 0, 0, 0, 0, 0]), np.eye(8)[1])
+
+
+@pytest.mark.parametrize(
+    "psi, match",
+    [
+        (np.full(4, 0.5), "8 amplitudes"),
+        (np.full(8, np.nan), "finite"),
+        (np.ones(8), "norm"),
+    ],
+)
+def test_local_unitaries_apply_checks_its_ket(psi, match):
+    lu = canonical.LocalUnitaries(np.eye(2), np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match=match):
+        lu.apply(psi)
 
 
 def test_decompose_ghz():

@@ -289,7 +289,7 @@ def test_a_lost_root_fails_the_count_and_the_seed_sets_take_over(monkeypatch):
     tens = psi.reshape(2, 2, 2)
     form = canonical._bloch_form(tens)
     zeros, _ = canonical._det_zeros(tens)
-    roots, signs = canonical._root_seeds(form)
+    roots, signs, _ = canonical._root_seeds(form)
     # the root pass's Newton: the zeros on both branches, then the roots
     sgn = np.concatenate([np.repeat([1.0, -1.0], len(zeros)), signs])
     n, last, _ = canonical._newton(form, np.concatenate([zeros, zeros, roots]), sgn)
@@ -309,6 +309,89 @@ def test_a_lost_root_fails_the_count_and_the_seed_sets_take_over(monkeypatch):
     assert calls[0][0] is canonical._SEEDS[0]
     assert np.max(np.abs(moved.lambdas - base.lambdas)) <= 1e-12
     assert abs(moved.alpha - base.alpha) <= 1e-11
+
+
+def _count_newton(monkeypatch):
+    """A list that gets the (seeds, signs) of every _newton call."""
+    newton, calls = canonical._newton, []
+    monkeypatch.setattr(canonical, "_newton", lambda form, n, sgn: calls.append((n, sgn)) or newton(form, n, sgn))
+    return calls
+
+
+# Haar seed 0's accounted roots 0, 2 and 5 reach points that other seeds of the
+# whole root pass reach too: the upper-branch zeros (0 and 2) and travelling
+# seeds (2 and 5); root 3's point no other seed reaches (the test above)
+@pytest.mark.parametrize("lost", [0, 2, 5])
+def test_a_lost_accounted_root_fails_the_accounting_and_the_root_pass_takes_over(monkeypatch, lost):
+    psi = states.haar_random_pure(0)
+    tens = psi.reshape(2, 2, 2)
+    assert canonical._root_seeds(canonical._bloch_form(tens))[2][lost]
+    base = canonical.acin_decompose(psi).params
+
+    root_seeds = canonical._root_seeds
+    monkeypatch.setattr(canonical, "_root_seeds", lambda form: tuple(np.delete(x, lost, axis=0) for x in root_seeds(form)))
+    calls = _count_newton(monkeypatch)
+    # the accounted roots left do not stand; the whole root pass does
+    assert _root_pass(monkeypatch, tens) is not None
+    assert len(calls) == 2
+    moved = canonical.acin_decompose(psi).params
+    assert np.max(np.abs(moved.lambdas - base.lambdas)) <= 1e-12
+    assert abs(moved.alpha - base.alpha) <= 1e-11
+
+
+def test_accounted_roots_reached_twice_fail_the_accounting(monkeypatch):
+    # move Haar seed 0's two lower-branch accounted roots (a minimum and a
+    # saddle) onto the zeros of det T1: their points are lost but the index
+    # sums still hold, so only the accounting tells
+    psi = states.haar_random_pure(0)
+    tens = psi.reshape(2, 2, 2)
+    zeros, _ = canonical._det_zeros(tens)
+    base = canonical.acin_decompose(psi).params
+
+    def onto_zeros(form):
+        roots, signs, accounted = root_seeds(form)
+        roots = roots.copy()
+        roots[np.flatnonzero(accounted & (signs < 0))] = zeros
+        return roots, signs, accounted
+
+    root_seeds = canonical._root_seeds
+    monkeypatch.setattr(canonical, "_root_seeds", onto_zeros)
+    calls = _count_newton(monkeypatch)
+    moved = canonical.acin_decompose(psi).params
+    assert len(calls) >= 2
+    assert np.max(np.abs(moved.lambdas - base.lambdas)) <= 1e-12
+    assert abs(moved.alpha - base.alpha) <= 1e-11
+
+
+def test_haar_states_polish_their_accounted_roots_alone(monkeypatch):
+    calls = _count_newton(monkeypatch)
+    for seed in range(100):
+        psi = states.haar_random_pure(seed)
+        roots = canonical._root_seeds(canonical._bloch_form(psi.reshape(2, 2, 2)))
+        if seed == 32:
+            # a (g_i, e_i) within _POLE of 0: the seed sets take it
+            assert roots is None
+            continue
+        calls.clear()
+        canonical.acin_decompose(psi)
+        assert len(calls) == 1, seed
+        accounted = roots[2]
+        assert np.array_equal(calls[0][0], roots[0][accounted]), seed
+        assert np.array_equal(calls[0][1], roots[1][accounted]), seed
+
+
+def test_haar_seed_562_falls_back_to_the_whole_root_pass(monkeypatch):
+    # its accounted roots reach four distinct points, but branch 1's index
+    # sum reads 4: two saddles are reached only from real roots whose n(nu)
+    # lies about 1e-2 off the sphere, outside _ON_SPHERE
+    psi = states.haar_random_pure(562)
+    calls = _count_newton(monkeypatch)
+    params = canonical.acin_decompose(psi).params
+    assert len(calls) == 2
+    n, branch, _ = _dense_search(monkeypatch, psi.reshape(2, 2, 2))
+    dense = canonical._read(psi, *canonical._critical_frames(psi, n, branch)).params
+    assert np.max(np.abs(params.lambdas - dense.lambdas)) <= 1e-12
+    assert abs(params.alpha - dense.alpha) <= 1e-11
 
 
 # kets 1e-3 off planted five-term states: in A one (g_i, e_i) is 5e-4 of its
