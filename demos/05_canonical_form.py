@@ -9,10 +9,20 @@ reconstruction residual, and verifies that scrambling by random local
 unitaries leaves the canonical parameters unchanged.
 """
 
+import math
+
 import numpy as np
-from scipy.stats import unitary_group
 
 from ghzw import canonical, states
+
+
+def haar_unitary(rng):
+    """A Haar 2x2 unitary, drawn as scipy.stats.unitary_group draws it: the QR
+    of a complex Gaussian, with R's diagonal phases moved onto Q."""
+    z = 1 / math.sqrt(2) * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    return q * (d / abs(d))
 
 
 def show(name, psi):
@@ -34,7 +44,7 @@ print("scrambling by random local unitaries does not move the parameters:")
 rng = np.random.default_rng(0)
 psi = states.haar_random_pure(5)
 for trial in range(3):
-    u = [unitary_group.rvs(2, random_state=rng) for _ in range(3)]
+    u = [haar_unitary(rng) for _ in range(3)]
     scrambled = canonical.LocalUnitaries(*u).apply(psi)
     again = canonical.acin_decompose(scrambled).params
     drift = np.max(np.abs(again.lambdas - result.params.lambdas))

@@ -49,37 +49,25 @@ def three_tangle(psi) -> float:
     return float(_three_tangle(states.check_pure(psi)[None])[0])
 
 
-#: factors of the hyperdeterminant's terms by basis index 4a + 2b + c:
-#: the four squared pairs of d1, then the six quartics of d2 and two of d3
-_HDET_FACTORS = np.array(
-    [[0, 0, 7, 7], [1, 1, 6, 6], [2, 2, 5, 5], [4, 4, 3, 3], [0, 7, 3, 4], [0, 7, 5, 2]]
-    + [[0, 7, 6, 1], [3, 4, 5, 2], [3, 4, 6, 1], [5, 2, 6, 1], [0, 6, 5, 3], [7, 1, 2, 4]]
-)
+def _tangle(c0, c1, c2, c3, c4, c5, c6, c7) -> float:
+    """Three-tangle 4|d1 - 2 d2 + 4 d3|, at most 1, of eight complex amplitudes.
 
-#: rows of the factors' real and imaginary parts in qcore._real_rows(kets),
-#: by factor: (4 factors; re, im; 12 terms)
-_HDET_PARTS = np.stack([2 * _HDET_FACTORS.T, 2 * _HDET_FACTORS.T + 1], axis=1)
-
-
-def _mul(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Complex x * y on (re, im) pairs, rounded as numpy's scalar product; its array loop fuses multiply-adds."""
-    (xr, xi), (yr, yi) = x, y
-    return xr * yr - xi * yi, xr * yi + xi * yr
+    Hdet = d1 - 2 d2 + 4 d3 is Cayley's hyperdeterminant, with amplitude
+    c_k at basis index k = 4a + 2b + c.  A d1 term is (c_i c_i)(c_j c_j),
+    a d2 or d3 term the product of its factors from left to right, and
+    each sum runs in the order written.
+    """
+    d1 = (c0 * c0) * (c7 * c7) + (c1 * c1) * (c6 * c6) + (c2 * c2) * (c5 * c5) + (c4 * c4) * (c3 * c3)
+    d2 = (
+        c0 * c7 * c3 * c4 + c0 * c7 * c5 * c2 + c0 * c7 * c6 * c1 + c3 * c4 * c5 * c2 + c3 * c4 * c6 * c1 + c5 * c2 * c6 * c1
+    )
+    d3 = c0 * c6 * c5 * c3 + c7 * c1 * c2 * c4
+    return min(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3), 1.0)
 
 
 def _three_tangle(kets: np.ndarray) -> np.ndarray:
-    """Three-tangles (N,) of validated (N, 8) kets: 4|d1 - 2 d2 + 4 d3|, at most 1.
-
-    A d1 term is (c_i c_i)(c_j c_j), a d2 or d3 term the product of its
-    factors from left to right, and each sum runs in table order, its
-    real and imaginary parts apart.
-    """
-    f = qcore._real_rows(kets)[_HDET_PARTS]  # (4 factors; re, im; 12 terms; N)
-    head = _mul(f[0], f[1])
-    d1 = _mul([part[:4] for part in head], _mul(f[2, :, :4], f[3, :, :4]))
-    q = _mul(_mul([part[4:] for part in head], f[2, :, 4:]), f[3, :, 4:])
-    hdet = [np.add.accumulate(s)[-1] - 2.0 * np.add.accumulate(t[:6])[-1] + 4.0 * (t[6] + t[7]) for s, t in zip(d1, q)]
-    return np.minimum(4.0 * np.hypot(*hdet), 1.0)
+    """Three-tangles (N,) of validated (N, 8) kets, one ket at a time in Python complex arithmetic."""
+    return np.array([_tangle(*c) for c in kets.tolist()], dtype=float)
 
 
 def _biseparable(spectra: np.ndarray, tol: float = DEFAULT_BISEP_TOL) -> np.ndarray:

@@ -3,6 +3,34 @@
 Reproduces the fooling window: states a*GHZ + b*W with
 1/3 <= |a|^2 <= 1/2 evade both witness families, and seeded random
 mixtures drawn from that window stay unwitnessed.
+
+The window in closed form.  Let x = |a|^2, with any phases phi, gamma,
+beta and any relative phase of a and b.  The amplitudes have moduli
+sqrt(x/2) on |000>, |111> and sqrt((1 - x)/3) on |001>, |010>, |100>, so
+the pure minima (1 - (|c0| + |c7|)^2)/2 and 2/3 - (|c1| + |c2| + |c4|)^2/3
+are
+
+    ghz_min = 1/2 - x,    w_min = x - 1/3,
+
+and no member of either family detects the state exactly when
+1/3 <= x <= 1/2, for every phase.  In each cut's 2x4 matrix (rows r0, r1)
+one cross term survives, |r0^H r1| = |a||b|/sqrt(6), so the reduced
+spectra carry no phase: every cut has
+
+    det = |r0|^2 |r1|^2 - |r0^H r1|^2 = 2/9 - x/9 + 5x^2/36,
+
+and the small squared Schmidt value (1 - sqrt(1 - 4 det))/2, where
+1 - 4 det = (1 - x)(1 + 5x)/9.  det is least at x = 2/5, which is xi,
+where det = 1/5: every superposition of the family is genuinely
+entangled, and xi is its least entangled member, with small value
+(1 - 1/sqrt(5))/2 ~ 0.2764 on every cut.
+
+Closure under mixing.  ghz_min and w_min are minima over phases of
+expectations linear in rho, so each is concave in rho.  A mixture
+sum_k p_k rho_k of window states therefore has
+ghz_min >= sum_k p_k ghz_min(rho_k) >= 0, and likewise w_min >= 0:
+every such mixture is unwitnessed, which sample_unwitnessed_mixtures
+checks on random draws.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import unitary_group
 from test_root_search import planted_states
+from unitaries import haar_unitary
 
 from ghzw import canonical, qcore, states
 
@@ -11,7 +11,7 @@ SQRT2 = 1 / np.sqrt(2)
 
 
 def _scramble(psi, rng):
-    u = [unitary_group.rvs(2, random_state=rng) for _ in range(3)]
+    u = [haar_unitary(2, random_state=rng) for _ in range(3)]
     lu = canonical.LocalUnitaries(*u)
     return lu.apply(psi)
 

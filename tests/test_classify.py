@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from unitaries import haar_unitary
 
 from ghzw import classify, qcore, states
 
@@ -48,16 +49,30 @@ def test_three_tangle_values():
 
 
 def test_three_tangle_local_unitary_invariance():
-    from scipy.stats import unitary_group
-
     rng = np.random.default_rng(12)
     psi = states.make_xi()
     for _ in range(5):
-        u = [unitary_group.rvs(2, random_state=rng) for _ in range(3)]
+        u = [haar_unitary(2, random_state=rng) for _ in range(3)]
         rotated = np.einsum(
             "ax,by,cz,xyz->abc", u[0], u[1], u[2], psi.reshape(2, 2, 2)
         ).reshape(8)
         assert abs(classify.three_tangle(rotated) - 0.8) < 1e-10
+
+
+def test_three_tangle_is_four_times_the_determinant_discriminant():
+    # canonical._det_zeros reads the same hyperdeterminant as the discriminant
+    # of det(v0 A0 + v1 A1) = qa v0^2 + qb v0 v1 + qc v1^2
+    for seed in range(2000):
+        psi = states.haar_random_pure(seed)
+        a0, a1 = psi.reshape(2, 2, 2)
+        qa, qc = np.linalg.det(a0), np.linalg.det(a1)
+        qb = a0[0, 0] * a1[1, 1] + a1[0, 0] * a0[1, 1] - a0[0, 1] * a1[1, 0] - a1[0, 1] * a0[1, 0]
+        assert abs(classify.three_tangle(psi) - 4.0 * abs(qb * qb - 4.0 * qa * qc)) <= 1e-14, seed
+
+
+def test_three_tangle_of_no_kets():
+    tangles = classify._three_tangle(np.zeros((0, 8), dtype=complex))
+    assert tangles.shape == (0,) and tangles.dtype == float
 
 
 def test_genuine_entanglement_reports():

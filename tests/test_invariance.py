@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import unitary_group
+from unitaries import haar_unitary
 
 from ghzw import canonical, classify, states, witness
 
@@ -11,7 +11,7 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def _scramble(psi, seed):
-    u_a, u_b, u_c = unitary_group.rvs(2, size=3, random_state=seed)
+    u_a, u_b, u_c = haar_unitary(2, size=3, random_state=seed)
     return canonical.LocalUnitaries(u_a, u_b, u_c).apply(psi)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.stats import unitary_group
+from unitaries import haar_unitary
 
 from ghzw import canonical, classify, states
 
@@ -46,7 +46,7 @@ def test_index_count_holds_on_both_branches():
 def test_haar_parameters_do_not_depend_on_the_local_frame(seed, frame_seed):
     psi = states.haar_random_pure(seed)
     assume(classify.three_tangle(psi) > 1e-6)
-    frame = unitary_group.rvs(2, size=3, random_state=frame_seed)
+    frame = haar_unitary(2, size=3, random_state=frame_seed)
     base = canonical.acin_decompose(psi).params
     moved = canonical.acin_decompose(canonical.LocalUnitaries(*frame).apply(psi)).params
     assert np.max(np.abs(moved.lambdas - base.lambdas)) <= 1e-7
@@ -63,7 +63,7 @@ def planted_states(draw):
     if alpha is None:
         alpha = draw(st.floats(0.0, np.pi))
     params = states.AcinParams(*(lams / np.linalg.norm(lams)), alpha=alpha)
-    frame = unitary_group.rvs(2, size=3, random_state=draw(st.integers(0, 2**32 - 1)))
+    frame = haar_unitary(2, size=3, random_state=draw(st.integers(0, 2**32 - 1)))
     return canonical.LocalUnitaries(*frame).apply(states.make_acin(params))
 
 
@@ -92,7 +92,7 @@ def test_tied_l0_picks_the_same_representative_in_every_frame(lams, alpha, frame
     psi = states.make_acin(states.AcinParams(0.0, *lams, alpha=alpha))
     base = canonical.acin_decompose(psi).params
     for frame_seed in frame_seeds:
-        frame = unitary_group.rvs(2, size=3, random_state=frame_seed)
+        frame = haar_unitary(2, size=3, random_state=frame_seed)
         moved = canonical.acin_decompose(canonical.LocalUnitaries(*frame).apply(psi)).params
         assert np.max(np.abs(moved.lambdas - base.lambdas)) <= 1e-7
         assert abs(moved.alpha - base.alpha) <= 1e-7
@@ -115,7 +115,7 @@ def test_w_class_planted_states_read_the_same_in_every_frame(seed):
                 lams[list(zeros)] = 0.0
                 a = rng.uniform(0.0, np.pi) if alpha is None else alpha
                 psi = states.make_acin(states.AcinParams(*(lams / np.linalg.norm(lams)), alpha=a))
-                frames = unitary_group.rvs(2, size=9, random_state=rng).reshape(3, 3, 2, 2)
+                frames = haar_unitary(2, size=9, random_state=rng).reshape(3, 3, 2, 2)
                 results = [canonical.acin_decompose(canonical.LocalUnitaries(*f).apply(psi)) for f in frames]
                 base = results[0].params
                 for r in results:
@@ -441,7 +441,7 @@ def test_a_double_root_skips_the_root_pass(monkeypatch):
     assert abs(result.params.lambda0 - np.sqrt(2.0) / 3.0) <= 1e-9
 
 
-# a planted five-term state (lambdas U(0.2, 1) with 1-2 zeros, a unitary_group
+# a planted five-term state (lambdas U(0.2, 1) with 1-2 zeros, a Haar
 # frame) kicked by a small Gaussian ket, draw 109 of default_rng(3): the
 # eigenvalues 1.47e-7 and 2.46e-7 of D^T D (beside 5.56e-2) are within _POLE
 # of each other, so the root pass is not tried, and both seed sets fail the

@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghzw import criterion, scanner, states
+from ghzw import criterion, qcore, scanner, states
 
 
 def test_scan_config_validation():
@@ -49,6 +52,22 @@ def test_scan_matches_closed_family_laws():
     for row in rows:
         assert abs(row.ghz_min - (0.5 - row.a_sq)) < 1e-12
         assert abs(row.w_min - (2 / 3 - (1.0 - row.a_sq))) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(0.0, 1.0), phases=st.tuples(*[st.floats(0.0, 2 * math.pi)] * 4))
+def test_window_family_in_closed_form(x, phases):
+    # the closed forms of the scanner docstring, at any |a|^2 and phases
+    kets = states.check_kets(scanner.family_state(np.array([x]), scanner.ScanConfig(2, *phases)))
+    ghz_min, _, w_min, _, _ = criterion._pure_minima(kets)
+    # the kernels read the rounded amplitudes: up to 1.17e-15 from x's forms on 1e7 random points
+    assert abs(ghz_min[0] - (0.5 - x)) <= 2e-15
+    assert abs(w_min[0] - (x - 1 / 3)) <= 2e-15
+    # sqrt(1 - 4 det) in factored form, exact at x = 1 where the cuts tie
+    root = math.sqrt((1.0 - x) * (1.0 + 5.0 * x)) / 3.0
+    spectra = qcore._reduced_spectra(kets)[0]
+    assert np.abs(spectra - [(1.0 + root) / 2.0, (1.0 - root) / 2.0]).max() <= 1e-14
+    assert spectra[:, 1].min() >= (1.0 - 1.0 / math.sqrt(5.0)) / 2.0 - 1e-15
 
 
 def test_scan_fooling_window_at_coarse_grid():
