@@ -31,10 +31,20 @@ G12 = (M'P - MP')^2 + 4 (C'P - CP') (CM' - C'M) = 0 of degree 12.  Each
 root gives rho = -(ab)' / (2 b c'), its branch sign(rho), and then
 n_i = (rho g_i + e_i) / (nu - s_i).  A real root is accounted when this n,
 before it is normalised, lies on the unit sphere within _ON_SPHERE: it
-then sits on its critical point.  Four stages run, each only where the
-one before fails: Newton from the accounted roots alone, where each must
+then sits on its critical point.  Where (g_i, e_i) vanishes (a pole),
+critical points can sit at nu = s_i itself with n_i free, where no root
+of G12 gives them: the hard case of the trust-region subproblem (More and
+Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983); Gander, Golub and von
+Matt, Linear Algebra Appl. 114/115, 815 (1989)).  There n_j = (rho g_j +
+e_j) / (s_i - s_j) for j != i, and rho^2 = |D n + d|^2 on |n| = 1 reads
+rho^2 b(s_i) = a(s_i) with the i terms left out; each rho = +-sqrt(a / b)
+with sum_j n_j^2 <= 1 gives n_i = +-sqrt(1 - sum_j n_j^2) on branch
+sign(rho).  These pole points, at most four per pole, lie on the sphere
+as built and are accounted.  Four stages run, each only where the one
+before fails: Newton from the accounted points alone, where each must
 reach a point of its own and, with the two zeros of det T1, pass the
-index count; from every root and both zeros; from _SEEDS; from _RETRY_SEEDS.
+index count; from every root, the pole points and both zeros; from
+_SEEDS; from _RETRY_SEEDS.
 
 A generic state admits four such decompositions; the returned one is
 the representative with alpha in [0, pi], largest l0, then smallest
@@ -105,7 +115,7 @@ _ROOT_TOL = 1e-10  # a Newton step this short has landed on a critical point
 _SAME_ROOT = 1e-6  # Bloch-vector distance within which two roots are one
 _SINGULAR = 1e-8  # |det| / |T|^2 at or below which a tangent Hessian T is singular
 _TANGLE_EPS = 1e-12  # three-tangle below which det M(v) = 0 has a double root
-_POLE = 1e-4  # relative |(g_i, e_i)| or gap of the s_i at or below which G12 seeds no pass
+_POLE = 1e-4  # relative gap of the s_i at or below which G12 seeds no pass; a |(g_i, e_i)| this small is a pole
 _ON_SPHERE = 1e-3  # largest | |n(nu)| - 1 | of an accounted real root of G12
 
 
@@ -138,7 +148,8 @@ def _newton(form, n: np.ndarray, sgn: np.ndarray):
     for rank one, which still steps onto the ring.  A seed stops once its
     step is within _ROOT_TOL, which by quadratic convergence leaves it on
     its root to about the square of that.  Returns the points, the length
-    of each one's last step and its index: sign(det), 0 where T is singular.
+    of each one's last step and its index: sign(det), 0 where T is singular
+    or the point is on the cone (|w| within _CONE_EPS), a kink of sigma^2.
     """
     g, d, dm = form
     gram = dm.T @ dm
@@ -150,7 +161,9 @@ def _newton(form, n: np.ndarray, sgn: np.ndarray):
             break
         x, s = n[live], sgn[live, None]
         w = x @ dm.T + d
-        r = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), _CONE_EPS)
+        r = np.linalg.norm(w, axis=1, keepdims=True)
+        cone = r[:, 0] <= _CONE_EPS
+        r = np.maximum(r, _CONE_EPS)
         de = (w / r) @ dm
         grad = g + s * de
         lam = np.sum(x * grad, axis=1)
@@ -161,7 +174,7 @@ def _newton(form, n: np.ndarray, sgn: np.ndarray):
         trace, size = np.trace(t, axis1=1, axis2=2), np.sum(t * t, axis=(1, 2))
         det = (trace * trace - size) / 2.0
         flat = np.abs(det) <= _SINGULAR * size
-        index[live] = np.where(flat, 0.0, np.sign(det))
+        index[live] = np.where(flat | cone, 0.0, np.sign(det))
         tq = np.einsum("nij,nj->ni", t, q)
         pinv_move = -tq / np.maximum(size, 1e-300)[:, None]
         newton_move = (tq - trace[:, None] * q) / np.where(flat, 1.0, det)[:, None]
@@ -236,14 +249,15 @@ def _root_seeds(form):
 
     A conjugate pair of complex roots seeds once, from its real part: where
     two s_i nearly meet, true critical points can come back as such pairs.
-    None where (g_i, e_i) nearly vanishes for some i, or two s_i nearly
-    meet, within _POLE: critical points then sit at a pole nu = s_i, or in
-    a cluster of roots beside one too coarse to seed from.
+    None where two s_i nearly meet, within _POLE: critical points then sit
+    in a cluster of roots beside them too coarse to seed from.  The points
+    of each pole, a (g_i, e_i) within _POLE of 0, follow the roots,
+    accounted; Newton polishes them where the pole is not exact.
     """
     g, d, dm = form
     s, vec = np.linalg.eigh(dm.T @ dm)
     gi, ei = g @ vec, (d @ dm) @ vec
-    if np.hypot(gi, ei).min() <= _POLE * np.sqrt(g @ g + ei @ ei) or np.diff(s).min() <= _POLE * s[-1]:
+    if np.diff(s).min() <= _POLE * s[-1]:
         return None
     # nu is counted from the middle s_i: rounding then spares the cluster where two s_i come close
     mid, s = s[1], s - s[1]
@@ -271,8 +285,21 @@ def _root_seeds(form):
         n = ((rho[:, None] * gi + ei) / (nu[:, None] - s)) @ vec.T
         norm = np.linalg.norm(n, axis=1)
         n /= norm[:, None]
+    accounted = real & (np.abs(norm - 1.0) <= _ON_SPHERE)
+    # the points of the hard case nu = s[i] + mid at each pole (module docstring), on the sphere as built
+    for i in np.flatnonzero(np.hypot(gi, ei) <= _POLE * np.sqrt(g @ g + ei @ ei)):
+        j = np.arange(3) != i
+        a = 1.0 / (s[i] - s[j])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho_sq = (s[i] + d @ d + mid + a @ (ei[j] * ei[j])) / (1.0 + a @ (gi[j] * gi[j]))
+            rho_i = np.sqrt(rho_sq) * np.array([1.0, 1.0, -1.0, -1.0])
+            pts = np.zeros((4, 3))
+            pts[:, j] = (rho_i[:, None] * gi[j] + ei[j]) * a
+            pts[:, i] = np.sqrt(1.0 - np.sum(pts * pts, axis=1)) * [1.0, -1.0, 1.0, -1.0]
+        n, rho = np.concatenate([n, pts @ vec.T]), np.concatenate([rho, rho_i])
+        accounted = np.concatenate([accounted, np.ones(4, dtype=bool)])
     ok = np.isfinite(n).all(axis=1) & (rho != 0.0)
-    return n[ok], np.sign(rho[ok]), (real & (np.abs(norm - 1.0) <= _ON_SPHERE))[ok]
+    return n[ok], np.sign(rho[ok]), accounted[ok]
 
 
 def _critical_points(tens: np.ndarray):
@@ -287,15 +314,17 @@ def _critical_points(tens: np.ndarray):
     indices on each branch sum to 2 on a Morse input, one with no singular
     tangent Hessian at a root and no double root of det M(v) = 0 (a
     three-tangle not about 0).  Four stages run in turn until one stands.
-    The accounted roots of G12 (:func:`_root_seeds`), each on its own
-    branch, stand where their accounting holds: every one converges, with
-    the zeros they give pairwise distinct points (no root reached twice,
-    none lost), and the sums hold with no singular Hessian.  All the roots,
-    with the zeros on both branches, stand where the sums hold with no
-    singular Hessian; neither root stage runs on a double root or where
-    :func:`_root_seeds` gives None.  The Fibonacci and cone-ring seeds of
-    _SEEDS, on both branches, also stand where no sum can hold (a singular
-    Hessian or a double root); the denser _RETRY_SEEDS always stand.
+    The accounted roots of G12 and pole points (:func:`_root_seeds`), each
+    on its own branch, stand where their accounting holds: every one
+    converges, with the zeros they give pairwise distinct points (no root
+    reached twice, none lost), and the sums hold with no singular Hessian.
+    A pole's lower pair can be the two zeros (planted l0 = 0 states), which
+    fails the accounting.  All the roots and pole points, with the zeros on
+    both branches, stand where the sums hold with no singular Hessian;
+    neither root stage runs on a double root or where :func:`_root_seeds`
+    gives None.  The Fibonacci and cone-ring seeds of _SEEDS, on both
+    branches, also stand where no sum can hold (a singular Hessian or a
+    double root); the denser _RETRY_SEEDS always stand.
     """
     form = _bloch_form(tens)
     zeros, double = _det_zeros(tens)

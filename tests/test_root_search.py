@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from near_strata import near_stratum_kets
 from unitaries import haar_unitary
 
 from ghzw import canonical, classify, states
@@ -269,8 +270,9 @@ def test_root_pass_finds_what_the_dense_search_finds(monkeypatch):
             assert sorted(match) == list(range(len(n_dense))), seed
             assert dist.min(axis=1).max() <= 1e-9, seed
             assert np.array_equal(index, index_dense[match]), seed
-    # seed 32 alone has a (g_i, e_i) within _POLE of 0, and takes the seed sets
-    assert len(stood) == 203
+    # every seed stands on a root stage; seed 32, whose (g_i, e_i) lies within
+    # _POLE of 0, among them (its pole gives no point on the sphere)
+    assert stood == [*range(200), 587, 707, 2020, 2114]
 
 
 def test_haar_seed_26_keeps_its_pick(monkeypatch):
@@ -369,15 +371,66 @@ def test_haar_states_polish_their_accounted_roots_alone(monkeypatch):
         psi = states.haar_random_pure(seed)
         roots = canonical._root_seeds(canonical._bloch_form(psi.reshape(2, 2, 2)))
         if seed == 32:
-            # a (g_i, e_i) within _POLE of 0: the seed sets take it
-            assert roots is None
-            continue
+            # a (g_i, e_i) within _POLE of 0 whose pole gives no point on the
+            # sphere: it stands on four accounted roots of G12
+            assert np.count_nonzero(roots[2]) == 4
         calls.clear()
         canonical.acin_decompose(psi)
         assert len(calls) == 1, seed
         accounted = roots[2]
         assert np.array_equal(calls[0][0], roots[0][accounted]), seed
         assert np.array_equal(calls[0][1], roots[1][accounted]), seed
+
+
+def _planted(lams, alpha, frame_seed):
+    """A five-term state in the Haar local frame drawn from frame_seed."""
+    params = states.AcinParams(*(np.array(lams) / np.linalg.norm(lams)), alpha=alpha)
+    frame = haar_unitary(2, size=3, random_state=frame_seed)
+    return canonical.LocalUnitaries(*frame).apply(states.make_acin(params))
+
+
+# l1 = 0 leaves one (g_i, e_i) in the eigenbasis of D^T D at 0, l0 = 0 two: there
+# critical points can sit at the poles nu = s_i, where no root of G12 gives them
+@pytest.mark.parametrize("lams, poles", [((0.7, 0.0, 0.3, 0.5, 0.4), 1), ((0.0, 0.3, 0.7, 0.5, 0.4), 2)])
+def test_pole_strata_stand_on_a_root_stage(monkeypatch, lams, poles):
+    psi = _planted(lams, 1.0, 0)
+    tens = psi.reshape(2, 2, 2)
+    g, d, dm = canonical._bloch_form(tens)
+    s, vec = np.linalg.eigh(dm.T @ dm)
+    gi, ei = g @ vec, (d @ dm) @ vec
+    assert np.count_nonzero(np.hypot(gi, ei) <= canonical._POLE * np.sqrt(g @ g + ei @ ei)) == poles
+    assert np.diff(s).min() > canonical._POLE * s[-1]
+    n, branch, _ = _dense_search(monkeypatch, tens)
+    dense = canonical._read(psi, *canonical._critical_frames(psi, n, branch)).params
+    # never the seed sets
+    assert _root_pass(monkeypatch, tens) is not None
+    calls = _count_newton(monkeypatch)
+    params = canonical.acin_decompose(psi).params
+    if poles == 1:
+        # the accounted roots alone
+        assert len(calls) == 1
+    assert np.max(np.abs(params.lambdas - dense.lambdas)) <= 1e-12
+    assert abs(params.alpha - dense.alpha) <= 1e-11
+
+
+def test_a_point_on_the_cone_carries_no_index():
+    # l0 = 0 and l3 = l4: the cone point n* = -D^{-1} d, where the branches
+    # touch, lies on the sphere.  sigma^2 has a kink there and T1's singular
+    # bases are free, so the candidate read there depends on the frame: the
+    # point counts in no stage, and every frame picks alike
+    lams = np.array([0.0, 0.375, 0.375, 0.15478418989039555, 0.75])
+    psi = states.make_acin(states.AcinParams(*(lams / np.linalg.norm(lams)), alpha=0.0))
+    form = canonical._bloch_form(psi.reshape(2, 2, 2))
+    cone = -np.linalg.solve(form[2], form[1])
+    assert abs(np.linalg.norm(cone) - 1.0) <= 1e-12
+    for sgn in (1.0, -1.0):
+        assert canonical._newton(form, cone[None], np.array([sgn]))[2][0] == 0.0
+    base = canonical.acin_decompose(psi).params
+    for frame_seed in (0, 1):
+        frame = haar_unitary(2, size=3, random_state=frame_seed)
+        moved = canonical.acin_decompose(canonical.LocalUnitaries(*frame).apply(psi)).params
+        assert np.max(np.abs(moved.lambdas - base.lambdas)) <= 1e-7
+        assert abs(moved.alpha - base.alpha) <= 1e-7
 
 
 def test_haar_seed_562_falls_back_to_the_whole_root_pass(monkeypatch):
@@ -441,13 +494,10 @@ def test_a_double_root_skips_the_root_pass(monkeypatch):
     assert abs(result.params.lambda0 - np.sqrt(2.0) / 3.0) <= 1e-9
 
 
-# a planted five-term state (lambdas U(0.2, 1) with 1-2 zeros, a Haar
-# frame) kicked by a small Gaussian ket, draw 109 of default_rng(3): the
-# eigenvalues 1.47e-7 and 2.46e-7 of D^T D (beside 5.56e-2) are within _POLE
-# of each other, so the root pass is not tried, and both seed sets fail the
-# index count (branch 0 sums to 1, best residual 5.3e-4).  100 of 1200 such
-# kets, kicked by 10^U(-8, -1), raise alike, at kicks from 1e-8 to 3e-3
-# (ROADMAP item 2).
+# ket 109 of the near-stratum panel (near_strata.py): the eigenvalues
+# 1.47e-7 and 2.46e-7 of D^T D (beside 5.56e-2) are within _POLE of each
+# other, so the root pass is not tried, and both seed sets fail the index
+# count (branch 0 sums to 1, best residual 5.3e-4)
 _NEAR_STRATUM_KET = [
     0.25250560523264964 - 0.0801820748899821j, 0.014650115233304464 - 0.23706172963748334j,
     0.022958480745323265 - 0.18032748248582728j, -0.010720423790581569 + 0.03917095575947783j,
@@ -460,3 +510,26 @@ _NEAR_STRATUM_KET = [
 def test_a_ket_beside_a_planted_stratum_decomposes():
     result = canonical.acin_decompose(np.array(_NEAR_STRATUM_KET))
     assert result.residual <= canonical.RESIDUAL_TOL
+
+
+def test_the_near_stratum_panel_holds_ket_109():
+    assert np.array_equal(near_stratum_kets(110)[109], _NEAR_STRATUM_KET)
+
+
+# the kets of the panel's first 300 on which acin_decompose raises
+# DecompositionError: a change may take kets out of this set, and then
+# shrinks it, but none may join it
+_NEAR_STRATUM_RAISES = {
+    3, 5, 12, 45, 59, 60, 68, 94, 98, 106, 109, 123,
+    143, 171, 196, 199, 215, 224, 231, 234, 252, 280, 290,
+}
+
+
+def test_near_stratum_raises_do_not_grow():
+    raised = set()
+    for k, psi in enumerate(near_stratum_kets(300)):
+        try:
+            canonical.acin_decompose(psi)
+        except canonical.DecompositionError:
+            raised.add(k)
+    assert raised <= _NEAR_STRATUM_RAISES
