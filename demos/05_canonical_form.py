@@ -17,8 +17,8 @@ from ghzw import canonical, states
 
 
 def haar_unitary(rng):
-    """A Haar 2x2 unitary, drawn as scipy.stats.unitary_group draws it: the QR
-    of a complex Gaussian, with R's diagonal phases moved onto Q."""
+    """A Haar 2x2 unitary: the QR of a complex Gaussian, with R's diagonal
+    phases moved onto Q (Mezzadri, Notices AMS 54, 592 (2007))."""
     z = 1 / math.sqrt(2) * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     q, r = np.linalg.qr(z)
     d = r.diagonal()

@@ -55,7 +55,7 @@ class ScanConfig:
     tol: float = criterion.BOUNDARY_TOL
 
     def __post_init__(self):
-        if self.grid_points < 2:
+        if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
@@ -121,8 +121,6 @@ def scan_superposition_family(cfg: ScanConfig) -> list[ScanRow]:
 
 def _simplex_weights(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform weights on the simplex via sorted-uniform spacings."""
-    if n == 1:
-        return np.array([1.0])
     cuts = np.sort(rng.random(n - 1))
     return np.diff(np.concatenate([[0.0], cuts, [1.0]]))
 
@@ -158,7 +156,7 @@ def sample_unwitnessed_mixtures(
     Components are drawn uniformly from a_sq in [1/3, 1/2] with random
     phases; per-mixture seeds derive as cfg.seed + index.
     """
-    if n_mixtures < 1 or n_components < 1:
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (n_mixtures, n_components)):
         raise ValueError("n_mixtures and n_components must be >= 1")
     seeds = range(cfg.seed, cfg.seed + n_mixtures)
     ghz_min, w_min = [], []

@@ -263,10 +263,8 @@ def test_mixed_w_minimum_where_one_coherence_is_far_below_rounding(tiny, k, size
         assert tuple(m[i] for m in minima) == tuple(m[0] for m in criterion._w_min(row[None]))
 
 
-def _grid_and_brent_w_min(rho):
-    """The mixed W minimum by a 4096-point grid over gamma and a Brent polish of its best point."""
-    from scipy.optimize import minimize_scalar
-
+def _grid_and_golden_w_min(rho):
+    """The mixed W minimum by a 4096-point grid over gamma and a golden-section polish of its best point."""
     m = rho[np.ix_(criterion.W_SECTOR, criterion.W_SECTOR)]
 
     def profile(gamma):
@@ -274,8 +272,15 @@ def _grid_and_brent_w_min(rho):
 
     grid = np.linspace(0.0, 2.0 * np.pi, 4097)
     start, h = grid[np.argmax(profile(grid))], grid[1]
-    polish = minimize_scalar(lambda g: -profile(g), bracket=(start - h, start, start + h), tol=1e-12)
-    return 2.0 / 3.0 - (np.trace(m).real + max(-polish.fun, profile(grid).max())) / 3.0
+    # 80 steps shrink the bracket by 0.618^80 ~ 2e-17, below rounding
+    lo, hi, shrink = start - h, start + h, (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        left, right = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        if profile(left) < profile(right):
+            lo = left
+        else:
+            hi = right
+    return 2.0 / 3.0 - (np.trace(m).real + max(profile((lo + hi) / 2.0), profile(grid).max())) / 3.0
 
 
 def test_mixed_w_minimum_next_to_the_flat_sextic_crossover():
@@ -289,4 +294,4 @@ def test_mixed_w_minimum_next_to_the_flat_sextic_crossover():
             m01 = 10.0**-k * np.exp(1j * phases[0])
             rho = _w_sector_density(m01, *(sizes * np.exp(1j * phases[1:])))
             value = criterion.min_w_expectation_mixed(rho)[0]
-            assert abs(value - _grid_and_brent_w_min(rho)) <= 1e-14
+            assert abs(value - _grid_and_golden_w_min(rho)) <= 1e-14

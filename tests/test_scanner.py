@@ -114,6 +114,16 @@ def test_mixture_args_validated():
         scanner.sample_unwitnessed_mixtures(scanner.ScanConfig(), 0, 4)
 
 
+@pytest.mark.parametrize("field", ["grid_points", "n_mixtures", "n_components"])
+def test_counts_that_are_not_integers_are_rejected(field):
+    # a float count would otherwise reach np.linspace, range or
+    # Generator.random and fail there with a TypeError
+    counts = {"grid_points": 3, "n_mixtures": 2, "n_components": 2, field: 2.5}
+    with pytest.raises(ValueError, match=field):
+        cfg = scanner.ScanConfig(grid_points=counts["grid_points"])
+        scanner.sample_unwitnessed_mixtures(cfg, counts["n_mixtures"], counts["n_components"])
+
+
 def _tiny_rows():
     return scanner.scan_superposition_family(scanner.ScanConfig(grid_points=3))
 

@@ -1,4 +1,4 @@
-"""Haar-random unitaries in numpy, drawn exactly as scipy.stats.unitary_group.rvs draws them."""
+"""Haar-random unitaries in numpy: the QR of a complex Gaussian, with R's diagonal phases moved onto Q."""
 
 import math
 
@@ -9,8 +9,9 @@ def haar_unitary(dim, size=1, random_state=None):
     """Haar unitaries (dim, dim), or (size, dim, dim) for size > 1.
 
     An int seeds a RandomState; a Generator or RandomState is used as
-    given.  The QR of a complex Gaussian, with R's diagonal phases moved
-    onto Q, so the draw order and rounding are scipy's.
+    given.  The real parts of every Gaussian entry are drawn before the
+    imaginary parts.  Moving the phases of R's diagonal onto Q makes the
+    draw Haar (Mezzadri, Notices AMS 54, 592 (2007)).
     """
     rng = np.random.RandomState(random_state) if isinstance(random_state, (int, np.integer)) else random_state
     shape = (size,) if size > 1 else ()
