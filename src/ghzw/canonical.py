@@ -40,11 +40,12 @@ e_j) / (s_i - s_j) for j != i, and rho^2 = |D n + d|^2 on |n| = 1 reads
 rho^2 b(s_i) = a(s_i) with the i terms left out; each rho = +-sqrt(a / b)
 with sum_j n_j^2 <= 1 gives n_i = +-sqrt(1 - sum_j n_j^2) on branch
 sign(rho).  These pole points, at most four per pole, lie on the sphere
-as built and are accounted.  Four stages run, each only where the one
-before fails: Newton from the accounted points alone, where each must
-reach a point of its own and, with the two zeros of det T1, pass the
-index count; from every root, the pole points and both zeros; from
-_SEEDS; from _RETRY_SEEDS.
+as built and are accounted.  Two s_i that nearly meet are one in a turned
+basis of their plane, where one axis is a pole (:func:`_root_seeds`).
+Four stages run, each only where the one before fails: Newton from the
+accounted points alone, where each must reach a point of its own and,
+with the two zeros of det T1, pass the index count; from every root, the
+pole points and both zeros; from _SEEDS; from _RETRY_SEEDS.
 
 A generic state admits four such decompositions; the returned one is
 the representative with alpha in [0, pi], largest l0, then smallest
@@ -115,7 +116,7 @@ _ROOT_TOL = 1e-10  # a Newton step this short has landed on a critical point
 _SAME_ROOT = 1e-6  # Bloch-vector distance within which two roots are one
 _SINGULAR = 1e-8  # |det| / |T|^2 at or below which a tangent Hessian T is singular
 _TANGLE_EPS = 1e-12  # three-tangle below which det M(v) = 0 has a double root
-_POLE = 1e-4  # relative gap of the s_i at or below which G12 seeds no pass; a |(g_i, e_i)| this small is a pole
+_POLE = 1e-4  # relative gap of the s_i at or below which two are one; a |(g_i, e_i)| this small is a pole
 _ON_SPHERE = 1e-3  # largest | |n(nu)| - 1 | of an accounted real root of G12
 
 
@@ -244,21 +245,38 @@ def _seeds(form, fibonacci: np.ndarray, n_scales: int, n_dirs: int) -> np.ndarra
     return np.concatenate(seeds)
 
 
+def _kink_circle(form) -> bool:
+    """Whether D has rank one with d in its range, within _CONE_EPS: D n + d = 0 on a circle, a kink of sigma^2."""
+    left, sing, _ = np.linalg.svd(form[2])
+    return sing[1] + np.linalg.norm(form[1] @ left[:, 1:]) <= _CONE_EPS
+
+
 def _root_seeds(form):
     """Seeds (K, 3), branch signs (K,) and accounted flags (K,) at the roots nu of G12 (module docstring).
 
     A conjugate pair of complex roots seeds once, from its real part: where
     two s_i nearly meet, true critical points can come back as such pairs.
-    None where two s_i nearly meet, within _POLE: critical points then sit
-    in a cluster of roots beside them too coarse to seed from.  The points
-    of each pole, a (g_i, e_i) within _POLE of 0, follow the roots,
-    accounted; Newton polishes them where the pole is not exact.
+    Two s_i within _POLE of each other take their mean, and their plane
+    turns by the left singular vectors of its (g_i, e_i) block: its second
+    axis is then a pole.  None where no pole reads the input: a pole plane
+    (a ring), two directions of (g, e) in the plane, three close s_i, or a
+    kink circle (:func:`_kink_circle`).  The points of each pole, a
+    (g_i, e_i) within _POLE of 0, follow the roots, accounted; Newton
+    polishes them where the pole is not exact.
     """
     g, d, dm = form
     s, vec = np.linalg.eigh(dm.T @ dm)
     gi, ei = g @ vec, (d @ dm) @ vec
-    if np.diff(s).min() <= _POLE * s[-1]:
-        return None
+    floor, close = _POLE * np.sqrt(g @ g + ei @ ei), np.flatnonzero(np.diff(s) <= _POLE * s[-1])
+    if close.size:
+        pair = close[0] + np.arange(2)
+        if close.size > 1 or np.hypot(gi[pair], ei[pair]).max() <= floor:
+            return None
+        turn, sing, _ = np.linalg.svd(np.column_stack([gi[pair], ei[pair]]))
+        if sing[1] > floor or _kink_circle(form):
+            return None
+        vec[:, pair], s[pair] = vec[:, pair] @ turn, s[pair].mean()
+        gi[pair], ei[pair] = turn.T @ gi[pair], turn.T @ ei[pair]
     # nu is counted from the middle s_i: rounding then spares the cluster where two s_i come close
     mid, s = s[1], s - s[1]
     s1, s2 = s.sum(), s[0] * s[1] + s[0] * s[2] + s[1] * s[2]
@@ -287,10 +305,10 @@ def _root_seeds(form):
         n /= norm[:, None]
     accounted = real & (np.abs(norm - 1.0) <= _ON_SPHERE)
     # the points of the hard case nu = s[i] + mid at each pole (module docstring), on the sphere as built
-    for i in np.flatnonzero(np.hypot(gi, ei) <= _POLE * np.sqrt(g @ g + ei @ ei)):
+    for i in np.flatnonzero(np.hypot(gi, ei) <= floor):
         j = np.arange(3) != i
-        a = 1.0 / (s[i] - s[j])
         with np.errstate(divide="ignore", invalid="ignore"):
+            a = 1.0 / (s[i] - s[j])
             rho_sq = (s[i] + d @ d + mid + a @ (ei[j] * ei[j])) / (1.0 + a @ (gi[j] * gi[j]))
             rho_i = np.sqrt(rho_sq) * np.array([1.0, 1.0, -1.0, -1.0])
             pts = np.zeros((4, 3))
@@ -323,8 +341,8 @@ def _critical_points(tens: np.ndarray):
     both branches, stand where the sums hold with no singular Hessian;
     neither root stage runs on a double root or where :func:`_root_seeds`
     gives None.  The Fibonacci and cone-ring seeds of _SEEDS, on both
-    branches, also stand where no sum can hold (a singular Hessian or a
-    double root); the denser _RETRY_SEEDS always stand.
+    branches, also stand where no sum can hold (a singular Hessian, a
+    double root or a kink circle); the denser _RETRY_SEEDS always stand.
     """
     form = _bloch_form(tens)
     zeros, double = _det_zeros(tens)
@@ -345,8 +363,8 @@ def _critical_points(tens: np.ndarray):
         n = np.concatenate([zeros, n[found]])
         branch = np.concatenate([np.ones(len(zeros), dtype=int), (sgn[found] < 0).astype(int)])
         index = np.concatenate([np.ones(len(zeros)), index[found]])
-        # most roots are reached from many seeds: keep the first of each
-        # run of exact repeats in a stable sort, then compare the few left pairwise
+        # most roots are reached from many seeds: keep the first of each run of exact repeats in a
+        # stable sort (np.unique(axis=0) keeps the same but costs more), then compare the few left pairwise
         key = np.column_stack([np.round(n / _SAME_ROOT), branch])
         order = np.lexsort(key.T)
         key = key[order]
@@ -362,7 +380,7 @@ def _critical_points(tens: np.ndarray):
         counted &= seed_set is not None or found.all() and len(n) == len(zeros) + len(seeds)
         singular = np.any(index == 0)
         # a seed set also stands where no count can hold
-        if counted and not singular or seed_set and (double or singular):
+        if counted and not singular or seed_set and (double or singular or _kink_circle(form)):
             break
     return n, branch, index
 

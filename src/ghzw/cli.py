@@ -2,8 +2,8 @@
 
 Subcommands: analyze, scan-family, mixtures, lambda, canonical, ppt.
 Reports go to stdout (or --output) as JSON by default; scan tables can
-also be CSV.  Exit codes: 0 success, 2 input validation failure, 1
-internal error.
+also be CSV.  Exit codes: 0 success, 2 input validation failure or a
+path that cannot be read or written, 1 internal error.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, OSError) as exc:  # an OSError names the user's path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -21,16 +21,10 @@ QUBIT_SLOTS = {"A": 0, "B": 1, "C": 2}
 
 
 def qubit_slot(label) -> int:
-    """Normalize a qubit label ('A'/'B'/'C' or 0/1/2) to a tensor slot."""
-    if isinstance(label, str):
-        key = label.upper()
-        if key not in QUBIT_SLOTS:
-            raise ValueError(f"unknown qubit label {label!r}; expected A, B or C")
-        return QUBIT_SLOTS[key]
-    slot = int(label)
-    if slot not in (0, 1, 2):
-        raise ValueError(f"qubit slot must be 0, 1 or 2, got {label!r}")
-    return slot
+    """Normalize a qubit label ('A'/'B'/'C', in either case) to a tensor slot."""
+    if not isinstance(label, str) or label.upper() not in QUBIT_SLOTS:
+        raise ValueError(f"unknown qubit label {label!r}; expected A, B or C")
+    return QUBIT_SLOTS[label.upper()]
 
 
 def outer(x) -> np.ndarray:

@@ -181,11 +181,10 @@ def sample_unwitnessed_mixtures(
 
 
 def _fmt(value) -> str:
+    """A ScanRow field, a bool or a float, as a CSV and JSON token."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g")
 
 
 def rows_to_csv(rows) -> str:

@@ -162,10 +162,17 @@ def test_output_flag_writes_file(tmp_path):
 
 
 def test_output_into_a_missing_directory_names_the_path(tmp_path, capsys):
+    # the path is the user's fault: an input error, not an internal one
     path = str(tmp_path / "missing" / "verdict.json")
-    assert cli.run(["analyze", "--builtin", "xi", "--output", path]) == 1
+    assert cli.run(["analyze", "--builtin", "xi", "--output", path]) == 2
     err = capsys.readouterr().err
-    assert repr(path) in err and ".tmp" not in err
+    assert err.startswith("error: ") and repr(path) in err and ".tmp" not in err
+
+
+def test_a_state_path_that_is_a_directory_is_an_input_error(tmp_path, capsys):
+    assert cli.run(["canonical", "--state", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and repr(str(tmp_path)) in captured.err
 
 
 def test_missing_state_is_input_error(capsys):

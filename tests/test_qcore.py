@@ -72,8 +72,9 @@ def test_dimension_guards():
         qcore.outer([np.nan] + [0.0] * 7)
     with pytest.raises(ValueError, match="operator entries must be finite"):
         states.check_density_matrix(np.full((8, 8), np.nan))
-    with pytest.raises(ValueError):
-        qcore.qubit_slot("D")
+    for label in ("D", 0):
+        with pytest.raises(ValueError, match="unknown qubit label"):
+            qcore.qubit_slot(label)
 
 
 def _reference_spectra(kets):

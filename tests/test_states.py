@@ -46,6 +46,9 @@ def test_acin_params_validation():
         states.AcinParams(1.0, 0, 0, 0, 0, alpha=4.0)
     with pytest.raises(ValueError):
         states.AcinParams(-1.0, 0, 0, 0, 0)
+    for bad in ({"lambda1": np.nan}, {"lambda2": np.inf}, {"alpha": np.nan}, {"alpha": -np.inf}):
+        with pytest.raises(ValueError, match="must be finite"):
+            states.AcinParams(**{"lambda0": 1.0, "lambda1": 0.0, "lambda2": 0.0, "lambda3": 0.0, "lambda4": 0.0, **bad})
 
 
 def test_xi_properties():
@@ -117,6 +120,10 @@ def test_check_density_matrix_rejects_bad_input():
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
         states.check_density_matrix(bad)
+    # Hermitian with unit trace, but one eigenvalue just below -DM_TOL
+    neg = np.diag([1.0 + 2.0 * states.DM_TOL, -2.0 * states.DM_TOL, 0, 0, 0, 0, 0, 0]).astype(complex)
+    with pytest.raises(ValueError, match="eigenvalue below"):
+        states.check_density_matrix(neg)
 
 
 def test_state_json_round_trip(tmp_path):
