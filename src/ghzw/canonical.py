@@ -41,11 +41,13 @@ rho^2 b(s_i) = a(s_i) with the i terms left out; each rho = +-sqrt(a / b)
 with sum_j n_j^2 <= 1 gives n_i = +-sqrt(1 - sum_j n_j^2) on branch
 sign(rho).  These pole points, at most four per pole, lie on the sphere
 as built and are accounted.  Two s_i that nearly meet are one in a turned
-basis of their plane, where one axis is a pole (:func:`_root_seeds`).
-Four stages run, each only where the one before fails: Newton from the
-accounted points alone, where each must reach a point of its own and,
-with the two zeros of det T1, pass the index count; from every root, the
-pole points and both zeros; from _SEEDS; from _RETRY_SEEDS.
+basis of their plane, where one axis is a pole (:func:`_root_seeds`).  An
+exact pole plane (two equal s_i, their (g_i, e_i) 0) leaves sigma^2 a
+function of the third axis, read in closed form (:func:`_ring_seeds`).
+Elsewhere four stages run, each only where the one before fails: Newton
+from the accounted points alone, where each must reach a point of its own
+and, with the two zeros of det T1, pass the index count; from every root,
+the pole points and both zeros; from _SEEDS; from _RETRY_SEEDS.
 
 A generic state admits four such decompositions; the returned one is
 the representative with alpha in [0, pi], largest l0, then smallest
@@ -115,9 +117,11 @@ _CONE_EPS = 1e-12  # floor of |D n + d| beside the cone point
 _ROOT_TOL = 1e-10  # a Newton step this short has landed on a critical point
 _SAME_ROOT = 1e-6  # Bloch-vector distance within which two roots are one
 _SINGULAR = 1e-8  # |det| / |T|^2 at or below which a tangent Hessian T is singular
+_SINGULAR_D = 1e-12  # |det D| at or below which D has no single cone point
 _TANGLE_EPS = 1e-12  # three-tangle below which det M(v) = 0 has a double root
 _POLE = 1e-4  # relative gap of the s_i at or below which two are one; a |(g_i, e_i)| this small is a pole
 _ON_SPHERE = 1e-3  # largest | |n(nu)| - 1 | of an accounted real root of G12
+_EXACT = 1e-12  # relative size at or below which a pole plane, a flat branch or a cone is exact
 
 
 def _bloch_form(tens: np.ndarray):
@@ -234,7 +238,7 @@ def _seeds(form, fibonacci: np.ndarray, n_scales: int, n_dirs: int) -> np.ndarra
     _, d, dm = form
     seeds = [fibonacci]
     # a singular D has no single cone point, and n* = 0 no direction
-    m = -np.linalg.solve(dm, d) if abs(np.linalg.det(dm)) > 1e-12 else np.zeros(3)
+    m = -np.linalg.solve(dm, d) if abs(np.linalg.det(dm)) > _SINGULAR_D else np.zeros(3)
     if np.linalg.norm(m) > 0.0:
         m /= np.linalg.norm(m)
         b1, b2 = np.linalg.svd(m[None])[2][1:]  # an orthonormal pair orthogonal to m
@@ -251,7 +255,59 @@ def _kink_circle(form) -> bool:
     return sing[1] + np.linalg.norm(form[1] @ left[:, 1:]) <= _CONE_EPS
 
 
-def _root_seeds(form):
+def _eigenbasis(form):
+    """(s, vec, gi, ei, size): eigenvalues and eigenvectors of D^T D, g and D^T d in that basis, and |(g, D^T d)|."""
+    g, d, dm = form
+    s, vec = np.linalg.eigh(dm.T @ dm)
+    gi, ei = g @ vec, (d @ dm) @ vec
+    return s, vec, gi, ei, np.sqrt(g @ g + ei @ ei)
+
+
+def _pole_plane(basis, gap: float, floor: float):
+    """The one pair of s_i within gap * s_max (() if none, None if three), and whether its (g_i, e_i) lie within floor."""
+    s, _, gi, ei, _ = basis
+    close = np.flatnonzero(np.diff(s) <= gap * s[-1])
+    pair = close[0] + np.arange(2) if close.size == 1 else None if close.size else ()
+    return pair, close.size == 1 and np.hypot(gi[pair], ei[pair]).max() <= floor
+
+
+def _ring_seeds(form, basis):
+    """Points (K, 3), branch signs (K,) and accounted flags (K,) critical on an exact pole plane, or None.
+
+    With the plane as axes i, j, t = n_k and a = s_k - s_P, g.n = g_k t and
+    |D n + d|^2 = Q(t) = s_P + delta + a t^2 + 2 e_k t: sigma^2 depends on t
+    alone.  It is critical at t = +-1, and on a ring at each root t in (-1, 1)
+    of (a - g_k^2) (a t^2 + 2 e_k t) + e_k^2 - g_k^2 (s_P + delta), on branch
+    sign(-(a t + e_k) / g_k), or on both at t = -e_k / a where g_k = 0; the
+    point sqrt(1 - t^2) v_i + t v_k stands for its ring.  A root with Q(t)
+    within _EXACT is a kink on the cone.  None unless the plane is exact
+    within _EXACT, or on a flat branch (every coefficient within it).
+    """
+    s, vec, gi, ei, size = basis
+    floor = _EXACT * (size + s[-1])
+    pair, plane = _pole_plane(basis, _EXACT, floor)
+    if not plane:
+        return None
+    k, sp = 2 if pair[0] == 0 else 0, s[pair].mean()
+    a, gk, ek, delta = s[k] - sp, gi[k], ei[k], form[1] @ form[1]
+    c2, c1, c0 = (a - gk * gk) * a, 2.0 * (a - gk * gk) * ek, ek * ek - gk * gk * (sp + delta)
+    scale = abs(a) + gk * gk + abs(ek) + abs(sp) + delta
+    if max(abs(c2), abs(c1), abs(c0)) <= _EXACT * scale * scale:
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if abs(gk) <= floor:
+            t, sgn = np.repeat(-ek / a, 2), np.array([1.0, -1.0])
+        else:
+            # the roots q / c2 and c0 / q, with q on the sign free of cancellation
+            q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+            t = np.array([q / c2, c0 / q])
+            sgn = np.sign(-(a * t + ek) * gk)
+        keep = (np.abs(t) < 1.0) & (sp + delta + a * t * t + 2.0 * ek * t > _EXACT * scale)
+    t, sgn = np.concatenate([[1.0, -1.0, 1.0, -1.0], t[keep]]), np.concatenate([[1.0, 1.0, -1.0, -1.0], sgn[keep]])
+    return np.sqrt(1.0 - t * t)[:, None] * vec[:, pair[0]] + t[:, None] * vec[:, k], sgn, np.ones(len(t), dtype=bool)
+
+
+def _root_seeds(form, basis):
     """Seeds (K, 3), branch signs (K,) and accounted flags (K,) at the roots nu of G12 (module docstring).
 
     A conjugate pair of complex roots seeds once, from its real part: where
@@ -259,22 +315,21 @@ def _root_seeds(form):
     Two s_i within _POLE of each other take their mean, and their plane
     turns by the left singular vectors of its (g_i, e_i) block: its second
     axis is then a pole.  None where no pole reads the input: a pole plane
-    (a ring), two directions of (g, e) in the plane, three close s_i, or a
-    kink circle (:func:`_kink_circle`).  The points of each pole, a
-    (g_i, e_i) within _POLE of 0, follow the roots, accounted; Newton
-    polishes them where the pole is not exact.
+    (:func:`_ring_seeds` reads an exact one), two directions of (g, e) in
+    the plane, three close s_i, or a kink circle (:func:`_kink_circle`).
+    The points of each pole, a (g_i, e_i) within _POLE of 0, follow the
+    roots, accounted; Newton polishes them where the pole is not exact.
     """
-    g, d, dm = form
-    s, vec = np.linalg.eigh(dm.T @ dm)
-    gi, ei = g @ vec, (d @ dm) @ vec
-    floor, close = _POLE * np.sqrt(g @ g + ei @ ei), np.flatnonzero(np.diff(s) <= _POLE * s[-1])
-    if close.size:
-        pair = close[0] + np.arange(2)
-        if close.size > 1 or np.hypot(gi[pair], ei[pair]).max() <= floor:
-            return None
+    d, (s, vec, gi, ei, size) = form[1], basis
+    floor = _POLE * size
+    pair, plane = _pole_plane(basis, _POLE, floor)
+    if pair is None or plane:
+        return None
+    if len(pair):
         turn, sing, _ = np.linalg.svd(np.column_stack([gi[pair], ei[pair]]))
         if sing[1] > floor or _kink_circle(form):
             return None
+        s, vec, gi, ei = s.copy(), vec.copy(), gi.copy(), ei.copy()
         vec[:, pair], s[pair] = vec[:, pair] @ turn, s[pair].mean()
         gi[pair], ei[pair] = turn.T @ gi[pair], turn.T @ ei[pair]
     # nu is counted from the middle s_i: rounding then spares the cluster where two s_i come close
@@ -325,30 +380,32 @@ def _critical_points(tens: np.ndarray):
 
     Branch 0 is sigma_+^2, branch 1 sigma_-^2.  The lower branch's zeros
     come first, as minima (index +1); every other point carries the sign
-    of its tangent-Hessian determinant, 0 where that Hessian is singular.
-    The zeros also seed both branches: on the axis of a symmetric state a
-    zero is a critical point of the upper branch too, ringed by critical
-    points whose basins the other seeds fall into.  By Poincare-Hopf the
-    indices on each branch sum to 2 on a Morse input, one with no singular
-    tangent Hessian at a root and no double root of det M(v) = 0 (a
-    three-tangle not about 0).  Four stages run in turn until one stands.
-    The accounted roots of G12 and pole points (:func:`_root_seeds`), each
-    on its own branch, stand where their accounting holds: every one
-    converges, with the zeros they give pairwise distinct points (no root
-    reached twice, none lost), and the sums hold with no singular Hessian.
-    A pole's lower pair can be the two zeros (planted l0 = 0 states), which
-    fails the accounting.  All the roots and pole points, with the zeros on
-    both branches, stand where the sums hold with no singular Hessian;
-    neither root stage runs on a double root or where :func:`_root_seeds`
-    gives None.  The Fibonacci and cone-ring seeds of _SEEDS, on both
-    branches, also stand where no sum can hold (a singular Hessian, a
-    double root or a kink circle); the denser _RETRY_SEEDS always stand.
+    of its tangent-Hessian determinant, 0 where that Hessian is singular,
+    as on a ring.  An exact pole plane's points (:func:`_ring_seeds`) stand
+    alone.  Elsewhere four stages run in turn until one stands; by
+    Poincare-Hopf the indices on each branch sum to 2 on a Morse input, one
+    with no singular tangent Hessian at a root and no double root of
+    det M(v) = 0 (a three-tangle not about 0).  The accounted roots of G12
+    and pole points (:func:`_root_seeds`), each on its own branch, stand
+    where their accounting holds: every one converges, with the zeros they
+    give pairwise distinct points (no root reached twice, none lost), and
+    the sums hold with no singular Hessian.  A pole's lower pair can be the
+    two zeros (planted l0 = 0 states), which fails the accounting.  All the
+    roots and pole points, with the zeros on both branches, stand where the
+    sums hold with no singular Hessian; neither root stage runs on a double
+    root or where :func:`_root_seeds` gives None.  The Fibonacci and
+    cone-ring seeds of _SEEDS, with the zeros, on both branches, also stand
+    where no sum can hold (a singular Hessian, a double root or a kink
+    circle); the denser _RETRY_SEEDS always stand.
     """
     form = _bloch_form(tens)
     zeros, double = _det_zeros(tens)
-    roots = None if double else _root_seeds(form)
-    # None stands for the accounted roots, () for the whole root pass
-    for seed_set in (_SEEDS, _RETRY_SEEDS) if roots is None else (None, (), _SEEDS, _RETRY_SEEDS):
+    basis = _eigenbasis(form)
+    ring = _ring_seeds(form, basis)
+    roots = ring if ring is not None or double else _root_seeds(form, basis)
+    # None stands for the accounted roots (a ring's points, which stand alone), () for the whole root pass
+    stages = (_SEEDS, _RETRY_SEEDS) if roots is None else (None, (), _SEEDS, _RETRY_SEEDS)
+    for seed_set in (None,) if ring is not None else stages:
         if seed_set is None:
             seeds, sgn = roots[0][roots[2]], roots[1][roots[2]]
         elif seed_set:
@@ -360,6 +417,9 @@ def _critical_points(tens: np.ndarray):
             sgn = np.concatenate([np.repeat([1.0, -1.0], len(zeros)), roots[1]])
         n, last, index = _newton(form, seeds, sgn)
         found = last <= _ROOT_TOL
+        if ring is not None:  # Newton moves an exact point only where its tangent Hessian is 0: it stays, index 0
+            stay = np.linalg.norm(n - seeds, axis=1) <= _ROOT_TOL
+            n, index, found = np.where(stay[:, None], n, seeds), np.where(stay, index, 0.0), np.ones_like(stay)
         n = np.concatenate([zeros, n[found]])
         branch = np.concatenate([np.ones(len(zeros), dtype=int), (sgn[found] < 0).astype(int)])
         index = np.concatenate([np.ones(len(zeros)), index[found]])

@@ -243,6 +243,11 @@ def test_seed_rings_are_orthonormal_to_the_cone_direction(m):
         assert np.max(np.abs(dirs @ dirs.T - np.cos(phi[:, None] - phi[None]))) <= 1e-10
 
 
+def _root_seeds(form):
+    """canonical._root_seeds on the eigenbasis of form."""
+    return canonical._root_seeds(form, canonical._eigenbasis(form))
+
+
 def _root_pass(monkeypatch, tens):
     """The critical points of the root pass alone, or None where it does not stand."""
 
@@ -258,9 +263,10 @@ def _root_pass(monkeypatch, tens):
 
 
 def _dense_search(monkeypatch, tens):
-    """The critical points of a _RETRY_SEEDS search, with no root pass."""
+    """The critical points of a _RETRY_SEEDS search, with no ring or root pass."""
     with monkeypatch.context() as m:
-        m.setattr(canonical, "_root_seeds", lambda form: None)
+        m.setattr(canonical, "_ring_seeds", lambda form, basis: None)
+        m.setattr(canonical, "_root_seeds", lambda form, basis: None)
         m.setattr(canonical, "_SEEDS", canonical._RETRY_SEEDS)
         return canonical._critical_points(tens)
 
@@ -306,7 +312,7 @@ def test_a_lost_root_fails_the_count_and_the_seed_sets_take_over(monkeypatch):
     tens = psi.reshape(2, 2, 2)
     form = canonical._bloch_form(tens)
     zeros, _ = canonical._det_zeros(tens)
-    roots, signs, _ = canonical._root_seeds(form)
+    roots, signs, _ = _root_seeds(form)
     # the root pass's Newton: the zeros on both branches, then the roots
     sgn = np.concatenate([np.repeat([1.0, -1.0], len(zeros)), signs])
     n, last, _ = canonical._newton(form, np.concatenate([zeros, zeros, roots]), sgn)
@@ -319,7 +325,9 @@ def test_a_lost_root_fails_the_count_and_the_seed_sets_take_over(monkeypatch):
     base = canonical.acin_decompose(psi).params
 
     root_seeds = canonical._root_seeds
-    monkeypatch.setattr(canonical, "_root_seeds", lambda form: tuple(np.delete(x, lone, axis=0) for x in root_seeds(form)))
+    monkeypatch.setattr(
+        canonical, "_root_seeds", lambda form, basis: tuple(np.delete(x, lone, axis=0) for x in root_seeds(form, basis))
+    )
     assert _root_pass(monkeypatch, tens) is None
     calls = _count_seed_sets(monkeypatch)
     moved = canonical.acin_decompose(psi).params
@@ -349,11 +357,13 @@ def _count_seed_sets(monkeypatch):
 def test_a_lost_accounted_root_fails_the_accounting_and_the_root_pass_takes_over(monkeypatch, lost):
     psi = states.haar_random_pure(0)
     tens = psi.reshape(2, 2, 2)
-    assert canonical._root_seeds(canonical._bloch_form(tens))[2][lost]
+    assert _root_seeds(canonical._bloch_form(tens))[2][lost]
     base = canonical.acin_decompose(psi).params
 
     root_seeds = canonical._root_seeds
-    monkeypatch.setattr(canonical, "_root_seeds", lambda form: tuple(np.delete(x, lost, axis=0) for x in root_seeds(form)))
+    monkeypatch.setattr(
+        canonical, "_root_seeds", lambda form, basis: tuple(np.delete(x, lost, axis=0) for x in root_seeds(form, basis))
+    )
     calls = _count_newton(monkeypatch)
     # the accounted roots left do not stand; the whole root pass does
     assert _root_pass(monkeypatch, tens) is not None
@@ -372,8 +382,8 @@ def test_accounted_roots_reached_twice_fail_the_accounting(monkeypatch):
     zeros, _ = canonical._det_zeros(tens)
     base = canonical.acin_decompose(psi).params
 
-    def onto_zeros(form):
-        roots, signs, accounted = root_seeds(form)
+    def onto_zeros(form, basis):
+        roots, signs, accounted = root_seeds(form, basis)
         roots = roots.copy()
         roots[np.flatnonzero(accounted & (signs < 0))] = zeros
         return roots, signs, accounted
@@ -391,7 +401,7 @@ def test_haar_states_polish_their_accounted_roots_alone(monkeypatch):
     calls = _count_newton(monkeypatch)
     for seed in range(100):
         psi = states.haar_random_pure(seed)
-        roots = canonical._root_seeds(canonical._bloch_form(psi.reshape(2, 2, 2)))
+        roots = _root_seeds(canonical._bloch_form(psi.reshape(2, 2, 2)))
         if seed == 32:
             # a (g_i, e_i) within _POLE of 0 whose pole gives no point on the
             # sphere: it stands on four accounted roots of G12
@@ -404,11 +414,19 @@ def test_haar_states_polish_their_accounted_roots_alone(monkeypatch):
         assert np.array_equal(calls[0][1], roots[1][accounted]), seed
 
 
+def _in_frame(psi, frame_seed):
+    """psi in the Haar local frame drawn from frame_seed."""
+    return canonical.LocalUnitaries(*haar_unitary(2, size=3, random_state=frame_seed)).apply(psi)
+
+
+def _acin(lams, alpha):
+    """The five-term state of the lambdas lams, normalised, and alpha."""
+    return states.make_acin(states.AcinParams(*(np.array(lams) / np.linalg.norm(lams)), alpha=alpha))
+
+
 def _planted(lams, alpha, frame_seed):
     """A five-term state in the Haar local frame drawn from frame_seed."""
-    params = states.AcinParams(*(np.array(lams) / np.linalg.norm(lams)), alpha=alpha)
-    frame = haar_unitary(2, size=3, random_state=frame_seed)
-    return canonical.LocalUnitaries(*frame).apply(states.make_acin(params))
+    return _in_frame(_acin(lams, alpha), frame_seed)
 
 
 # l1 = 0 leaves one (g_i, e_i) in the eigenbasis of D^T D at 0, l0 = 0 two: there
@@ -471,6 +489,76 @@ def test_a_kink_circle_stands_on_the_first_seed_set(monkeypatch):
     assert abs(params.alpha - dense.alpha) <= 1e-11
 
 
+def _count_rows(monkeypatch):
+    """A list that gets the number of critical points of every _critical_frames call."""
+    frames, rows = canonical._critical_frames, []
+    monkeypatch.setattr(
+        canonical, "_critical_frames", lambda psi, n, branch: rows.append(len(n)) or frames(psi, n, branch)
+    )
+    return rows
+
+
+# each has a pole plane: two equal eigenvalues of D^T D whose (g_i, e_i) vanish
+_RING_STATES = {
+    "ghz": states.make_ghz(0.7),
+    "w": states.make_w(0.3, 1.1),
+    "xi": states.make_xi(),
+    "l2 = l3 = 0": _acin((0.7, 0.4, 0.0, 0.0, 0.5), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_RING_STATES))
+def test_exact_rings_pick_as_the_dense_search_with_one_point_per_ring(monkeypatch, name):
+    # sigma^2 depends on the axis off the plane alone, so its critical points
+    # are the two axis points and rings, read in closed form with one point per
+    # ring: no seed set runs, and few candidates are read
+    for frame_seed in range(6):
+        psi = _in_frame(_RING_STATES[name], frame_seed)
+        n, branch, _ = _dense_search(monkeypatch, psi.reshape(2, 2, 2))
+        dense = canonical._read(psi, *canonical._critical_frames(psi, n, branch)).params
+        with monkeypatch.context() as m:
+            seed_sets, rows = _count_seed_sets(m), _count_rows(m)
+            params = canonical.acin_decompose(psi).params
+        assert seed_sets == [] and len(rows) == 1 and rows[0] <= 10, (frame_seed, rows)
+        assert np.max(np.abs(params.lambdas - dense.lambdas)) <= 1e-12, frame_seed
+        assert abs(params.alpha - dense.alpha) <= 1e-11, frame_seed
+
+
+# two equal lambdas beside l2 = l3 = 0 or l1 = l3 = 0: a root of the ring quadratic
+# sits on an axis point, where the whole tangent Hessian vanishes and Newton's
+# step is rounding noise.  The max-l0 candidate is read there, so the point keeps
+# its place; the seed sets land about 1e-5 off it, and pick l0 = 0.408 for
+# (1, 0, 1, 0, 1)/sqrt(3) in some frames and 0.577 for (2, 1, 0, 0, 1)/sqrt(6)
+@pytest.mark.parametrize("lams", [(1.0, 0.0, 1.0, 0.0, 1.0), (2.0, 1.0, 0.0, 0.0, 1.0)])
+def test_a_degenerate_axis_point_reads_the_same_in_every_frame(lams):
+    planted = np.array(lams) / np.linalg.norm(lams)
+    for frame_seed in range(6):
+        params = canonical.acin_decompose(_planted(lams, 0.0, frame_seed)).params
+        assert np.max(np.abs(params.lambdas - planted)) <= 1e-12, frame_seed
+        assert abs(params.alpha) <= 1e-11, frame_seed
+
+
+# kets 55 and 203 of the near-stratum panel (near_strata.py).  Ket 55 is near
+# biseparable: its pole plane is exact within _EXACT, but a = g_k^2 and the
+# ring quadratic vanishes, so its lower branch is flat.  Ket 203's pair of
+# eigenvalues and its (g_P, e_P) sit at about 5e-12 and 8e-12 of their scales,
+# a ring broken above _EXACT.  Both keep the seed sets: without the flat
+# guard ket 55 raises DecompositionError, and with a 1e-10 plane gate ket 203
+@pytest.mark.parametrize("ket, seed_sets", [(55, [canonical._SEEDS]), (203, [canonical._SEEDS, canonical._RETRY_SEEDS])])
+def test_a_flat_branch_and_a_broken_ring_keep_the_seed_sets(monkeypatch, ket, seed_sets):
+    psi = near_stratum_kets(ket + 1)[ket]
+    form = canonical._bloch_form(psi.reshape(2, 2, 2))
+    basis = canonical._eigenbasis(form)
+    s, size = basis[0], basis[4]
+    _, plane = canonical._pole_plane(basis, canonical._EXACT, canonical._EXACT * (size + s[-1]))
+    assert plane == (ket == 55)
+    assert canonical._ring_seeds(form, basis) is None
+    calls = _count_seed_sets(monkeypatch)
+    result = canonical.acin_decompose(psi)
+    assert [c[0] for c in calls] == [c[0] for c in seed_sets]
+    assert result.residual <= canonical.RESIDUAL_TOL
+
+
 def test_haar_seed_562_falls_back_to_the_whole_root_pass(monkeypatch):
     # its accounted roots reach four distinct points, but branch 1's index
     # sum reads 4: two saddles are reached only from real roots whose n(nu)
@@ -509,7 +597,7 @@ def test_root_pass_beside_a_pole_picks_as_the_seed_sets(monkeypatch, name):
     psi = np.array(_NEAR_POLE_KETS[name])
     assert _root_pass(monkeypatch, psi.reshape(2, 2, 2)) is not None
     base = canonical.acin_decompose(psi).params
-    monkeypatch.setattr(canonical, "_root_seeds", lambda form: None)
+    monkeypatch.setattr(canonical, "_root_seeds", lambda form, basis: None)
     dense = canonical.acin_decompose(psi).params
     assert np.max(np.abs(base.lambdas - dense.lambdas)) <= 1e-12
     assert abs(base.alpha - dense.alpha) <= 1e-11
@@ -524,12 +612,19 @@ def test_complex_roots_seed_critical_points_the_real_roots_miss(monkeypatch):
 
 
 def test_a_double_root_skips_the_root_pass(monkeypatch):
-    def refuse(form):
+    def refuse(form, basis):
         raise AssertionError("the root pass ran on a double root of det M(v) = 0")
 
     monkeypatch.setattr(canonical, "_root_seeds", refuse)
     result = canonical.acin_decompose(states.make_w())
     assert abs(result.params.lambda0 - np.sqrt(2.0) / 3.0) <= 1e-9
+    # W leaves through its rings before the double-root test; a planted l4 = 0
+    # state has a double root and no ring
+    psi = _planted((0.7, 0.3, 0.5, 0.4, 0.0), 1.0, 0)
+    form = canonical._bloch_form(psi.reshape(2, 2, 2))
+    assert canonical._det_zeros(psi.reshape(2, 2, 2))[1]
+    assert canonical._ring_seeds(form, canonical._eigenbasis(form)) is None
+    assert canonical.acin_decompose(psi).residual <= canonical.RESIDUAL_TOL
 
 
 # ket 109 of the near-stratum panel (near_strata.py): the eigenvalues
