@@ -41,13 +41,14 @@ rho^2 b(s_i) = a(s_i) with the i terms left out; each rho = +-sqrt(a / b)
 with sum_j n_j^2 <= 1 gives n_i = +-sqrt(1 - sum_j n_j^2) on branch
 sign(rho).  These pole points, at most four per pole, lie on the sphere
 as built and are accounted.  Two s_i that nearly meet are one in a turned
-basis of their plane, where one axis is a pole (:func:`_root_seeds`).  An
-exact pole plane (two equal s_i, their (g_i, e_i) 0) leaves sigma^2 a
-function of the third axis, read in closed form (:func:`_ring_seeds`).
-Elsewhere four stages run, each only where the one before fails: Newton
-from the accounted points alone, where each must reach a point of its own
-and, with the two zeros of det T1, pass the index count; from every root,
-the pole points and both zeros; from _SEEDS; from _RETRY_SEEDS.
+basis of their plane, where one axis is a pole (:func:`_root_seeds`).  A
+kink circle (D of rank one, d in its range) and an exact pole plane (two
+equal s_i, their (g_i, e_i) 0) are read in closed form (:func:`_kink_points`,
+:func:`_ring_seeds`).  Elsewhere four stages run, each only where the one
+before fails: Newton from the accounted points alone, where each must reach
+a point of its own and, with the zeros of det T1 (one where the root is
+double), pass the index count; from every root, the pole points and the
+zeros; from _SEEDS; from _RETRY_SEEDS.
 
 A generic state admits four such decompositions; the returned one is
 the representative with alpha in [0, pi], largest l0, then smallest
@@ -116,6 +117,7 @@ _MAX_STEP = 0.5  # longest Newton move, as a chord of the unit sphere
 _CONE_EPS = 1e-12  # floor of |D n + d| beside the cone point
 _ROOT_TOL = 1e-10  # a Newton step this short has landed on a critical point
 _SAME_ROOT = 1e-6  # Bloch-vector distance within which two roots are one
+_DOUBLE_ZERO = 1e-2  # Bloch-vector distance within which a lower-branch seed stands for a double zero
 _SINGULAR = 1e-8  # |det| / |T|^2 at or below which a tangent Hessian T is singular
 _SINGULAR_D = 1e-12  # |det D| at or below which D has no single cone point
 _TANGLE_EPS = 1e-12  # three-tangle below which det M(v) = 0 has a double root
@@ -197,7 +199,7 @@ def _det_zeros(tens: np.ndarray):
     discriminant is Cayley's hyperdeterminant (the three-tangle is 4|disc|).
     Its roots (qc : q) and (q : qa), with q = -(qb + sqrt(disc)) / 2 on the
     sign free of cancellation, are the zeros of the lower branch (Acin et
-    al.).
+    al.).  A double root's zeros are one where they meet within _SAME_ROOT.
     """
     a0, a1 = tens
     qa, qc = np.linalg.det(a0), np.linalg.det(a1)
@@ -212,6 +214,8 @@ def _det_zeros(tens: np.ndarray):
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     cross = np.conj(v[:, 0]) * v[:, 1]
     bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag, np.abs(v[:, 0]) ** 2 - np.abs(v[:, 1]) ** 2], 1)
+    if double and len(bloch) and np.linalg.norm(bloch[0] - bloch[-1]) <= _SAME_ROOT:
+        bloch = bloch[:1]
     return bloch, double
 
 
@@ -249,10 +253,36 @@ def _seeds(form, fibonacci: np.ndarray, n_scales: int, n_dirs: int) -> np.ndarra
     return np.concatenate(seeds)
 
 
-def _kink_circle(form) -> bool:
-    """Whether D has rank one with d in its range, within _CONE_EPS: D n + d = 0 on a circle, a kink of sigma^2."""
-    left, sing, _ = np.linalg.svd(form[2])
-    return sing[1] + np.linalg.norm(form[1] @ left[:, 1:]) <= _CONE_EPS
+def _kink_points(form, basis):
+    """Points (K, 3), branches, indices and the cone points' C frames (K', 2, 2) on a kink circle, or None.
+
+    Where D = sig u w^T and d = sig c u (within _CONE_EPS), |D n + d| =
+    sig |w.n + c|.  On side s of the circle w.n = -c, sigma^2 = c0 + t sig c
+    + (g + t sig w).n (t = sgn s) is linear, critical at +-v / |v| for
+    v = g + t sig w, on branch t s of the side s the point lies on.  On the
+    circle sigma^2 = c0 + g.n, critical at -c w +- sqrt(1 - c^2) g_perp /
+    |g_perp|: cone points (index 0), on both branches, last.  LAPACK's bases
+    are free there; as T1^dag T1 = c0 + g.n + sig (w.n + c) u.sigma, C's is
+    u.sigma's eigenbasis, the branch's eigenvector in the |111> slot.
+    """
+    s, ei, (g, d, dm) = basis[0], basis[3], form
+    if s[1] > _EXACT * s[-1] or ei @ ei < (1.0 - _EXACT) * s[-1] * (d @ d):  # D of rank two, or d off its range
+        return None
+    left, sing, right_h = np.linalg.svd(dm)
+    if sing[1] + np.linalg.norm(d @ left[:, 1:]) > _CONE_EPS or sing[0] <= _CONE_EPS:
+        return None
+    u, w, c = left[:, 0], right_h[0], d @ left[:, 0] / sing[0]
+    t = np.array([1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v, perp = g + np.outer(t[:2], sing[0] * w), g - (g @ w) * w
+        ring = -c * w + np.sqrt(1.0 - c * c) * np.outer(t[:2], perp / np.linalg.norm(perp))
+        n = np.concatenate([v, -v, ring, ring])
+        n /= np.linalg.norm(n, axis=1, keepdims=True)  # beside a pole, arccos(n_z) magnifies | |n| - 1 | to sqrt
+    side = np.concatenate([np.sign(n[:4] @ w + c), np.ones(4)])
+    ok = np.isfinite(n).all(axis=1) & (side != 0.0)
+    e = np.linalg.eigh(np.einsum("k,kij->ij", u, _PAULI[1:]))[1]  # the eigenvectors of u.sigma for -1, +1
+    right = np.where(t[4:, None, None] > 0.0, e, e[:, ::-1])
+    return n[ok], (t * side < 0.0)[ok].astype(int), np.repeat([1.0, 0.0], 4)[ok], right[ok[4:]]
 
 
 def _eigenbasis(form):
@@ -279,8 +309,8 @@ def _ring_seeds(form, basis):
     alone.  It is critical at t = +-1, and on a ring at each root t in (-1, 1)
     of (a - g_k^2) (a t^2 + 2 e_k t) + e_k^2 - g_k^2 (s_P + delta), on branch
     sign(-(a t + e_k) / g_k), or on both at t = -e_k / a where g_k = 0; the
-    point sqrt(1 - t^2) v_i + t v_k stands for its ring.  A root with Q(t)
-    within _EXACT is a kink on the cone.  None unless the plane is exact
+    point sqrt(1 - t^2) v_i + t v_k stands for its ring (a root on the cone,
+    Q(t) = 0, is a kink circle, read first).  None unless the plane is exact
     within _EXACT, or on a flat branch (every coefficient within it).
     """
     s, vec, gi, ei, size = basis
@@ -302,7 +332,7 @@ def _ring_seeds(form, basis):
             q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
             t = np.array([q / c2, c0 / q])
             sgn = np.sign(-(a * t + ek) * gk)
-        keep = (np.abs(t) < 1.0) & (sp + delta + a * t * t + 2.0 * ek * t > _EXACT * scale)
+        keep = np.abs(t) < 1.0
     t, sgn = np.concatenate([[1.0, -1.0, 1.0, -1.0], t[keep]]), np.concatenate([[1.0, 1.0, -1.0, -1.0], sgn[keep]])
     return np.sqrt(1.0 - t * t)[:, None] * vec[:, pair[0]] + t[:, None] * vec[:, k], sgn, np.ones(len(t), dtype=bool)
 
@@ -316,7 +346,7 @@ def _root_seeds(form, basis):
     turns by the left singular vectors of its (g_i, e_i) block: its second
     axis is then a pole.  None where no pole reads the input: a pole plane
     (:func:`_ring_seeds` reads an exact one), two directions of (g, e) in
-    the plane, three close s_i, or a kink circle (:func:`_kink_circle`).
+    the plane, or three close s_i.
     The points of each pole, a (g_i, e_i) within _POLE of 0, follow the
     roots, accounted; Newton polishes them where the pole is not exact.
     """
@@ -327,7 +357,7 @@ def _root_seeds(form, basis):
         return None
     if len(pair):
         turn, sing, _ = np.linalg.svd(np.column_stack([gi[pair], ei[pair]]))
-        if sing[1] > floor or _kink_circle(form):
+        if sing[1] > floor:
             return None
         s, vec, gi, ei = s.copy(), vec.copy(), gi.copy(), ei.copy()
         vec[:, pair], s[pair] = vec[:, pair] @ turn, s[pair].mean()
@@ -376,33 +406,33 @@ def _root_seeds(form, basis):
 
 
 def _critical_points(tens: np.ndarray):
-    """Critical points (Bloch vectors, branches, indices) of sigma_+^2 and sigma_-^2.
+    """Critical points (Bloch vectors, branches, indices) of sigma_+^2 and sigma_-^2, and C frames.
 
-    Branch 0 is sigma_+^2, branch 1 sigma_-^2.  The lower branch's zeros
-    come first, as minima (index +1); every other point carries the sign
-    of its tangent-Hessian determinant, 0 where that Hessian is singular,
-    as on a ring.  An exact pole plane's points (:func:`_ring_seeds`) stand
-    alone.  Elsewhere four stages run in turn until one stands; by
-    Poincare-Hopf the indices on each branch sum to 2 on a Morse input, one
-    with no singular tangent Hessian at a root and no double root of
-    det M(v) = 0 (a three-tangle not about 0).  The accounted roots of G12
-    and pole points (:func:`_root_seeds`), each on its own branch, stand
-    where their accounting holds: every one converges, with the zeros they
-    give pairwise distinct points (no root reached twice, none lost), and
-    the sums hold with no singular Hessian.  A pole's lower pair can be the
-    two zeros (planted l0 = 0 states), which fails the accounting.  All the
-    roots and pole points, with the zeros on both branches, stand where the
-    sums hold with no singular Hessian; neither root stage runs on a double
-    root or where :func:`_root_seeds` gives None.  The Fibonacci and
-    cone-ring seeds of _SEEDS, with the zeros, on both branches, also stand
-    where no sum can hold (a singular Hessian, a double root or a kink
-    circle); the denser _RETRY_SEEDS always stand.
+    Branch 0 is sigma_+^2, branch 1 sigma_-^2.  The C frames of the last
+    points are None but on a kink circle, whose points (:func:`_kink_points`)
+    stand alone, as do an exact pole plane's (:func:`_ring_seeds`) and zeros.
+    Elsewhere the zeros come first, as lower-branch minima (index +1); every
+    other point carries the sign of its tangent-Hessian determinant, 0 where
+    that is singular, and by Poincare-Hopf each branch sums to 2 where none
+    is.  Four stages run in turn until one stands.  The accounted roots of
+    G12 and pole points (:func:`_root_seeds`), each on its own branch, stand
+    where each converges to a point of its own, none a zero (a pole's lower
+    pair can be the two zeros, at planted l0 = 0), and the sums hold with no
+    singular Hessian; all the roots and pole points, with the zeros on both
+    branches, where the sums hold so.  Newton creeps onto a double zero only
+    linearly: a lower-branch seed of either root stage within _DOUBLE_ZERO
+    of it stands for it.  The Fibonacci and cone-ring seeds of _SEEDS, with
+    the zeros, on both branches, also stand where no sum can hold (a
+    singular Hessian or a double root); the denser _RETRY_SEEDS always stand.
     """
     form = _bloch_form(tens)
-    zeros, double = _det_zeros(tens)
     basis = _eigenbasis(form)
+    kink = _kink_points(form, basis)
+    if kink is not None:
+        return kink
+    zeros, double = _det_zeros(tens)
     ring = _ring_seeds(form, basis)
-    roots = ring if ring is not None or double else _root_seeds(form, basis)
+    roots = ring if ring is not None else _root_seeds(form, basis)
     # None stands for the accounted roots (a ring's points, which stand alone), () for the whole root pass
     stages = (_SEEDS, _RETRY_SEEDS) if roots is None else (None, (), _SEEDS, _RETRY_SEEDS)
     for seed_set in (None,) if ring is not None else stages:
@@ -415,6 +445,9 @@ def _critical_points(tens: np.ndarray):
         else:
             seeds = np.concatenate([zeros, zeros, roots[0]])
             sgn = np.concatenate([np.repeat([1.0, -1.0], len(zeros)), roots[1]])
+        if len(zeros) == 1 and ring is None and not seed_set:  # a double zero, which Newton reaches slowly
+            far = (sgn > 0.0) | (np.linalg.norm(seeds - zeros, axis=1) > _DOUBLE_ZERO)
+            seeds, sgn = seeds[far], sgn[far]
         n, last, index = _newton(form, seeds, sgn)
         found = last <= _ROOT_TOL
         if ring is not None:  # Newton moves an exact point only where its tangent Hessian is 0: it stays, index 0
@@ -440,9 +473,9 @@ def _critical_points(tens: np.ndarray):
         counted &= seed_set is not None or found.all() and len(n) == len(zeros) + len(seeds)
         singular = np.any(index == 0)
         # a seed set also stands where no count can hold
-        if counted and not singular or seed_set and (double or singular or _kink_circle(form)):
+        if counted and not singular or seed_set and (double or singular):
             break
-    return n, branch, index
+    return n, branch, index, None
 
 
 # coefficients of the support phases (000, 001, 010, 100, 111) in alpha;
@@ -512,12 +545,13 @@ def _read(psi: np.ndarray, frames: np.ndarray, amps: np.ndarray) -> CanonicalRes
     return CanonicalResult(params=params, unitaries=LocalUnitaries(*units[k]), residual=float(residual[k]))
 
 
-def _critical_frames(psi: np.ndarray, n: np.ndarray, branch: np.ndarray):
+def _critical_frames(psi: np.ndarray, n: np.ndarray, branch: np.ndarray, right=None):
     """Frames (K, 3, 2, 2) and support amplitudes (K, 5) at the critical points n (K, 3).
 
     The A-row is v = (cos t, sin t e^{ip}), n its Bloch vector.  The
     singular bases of B and C, in branch order, turn the A=1 block T1 into
     diag(sing[order]), so only the A=0 block's support amplitudes change.
+    right (K', 2, 2), where given, holds the last K' points' C bases by columns.
     """
     t = 0.5 * np.arccos(np.clip(n[:, 2], -1.0, 1.0))
     v0, v1 = np.cos(t), np.sin(t) * np.exp(1j * np.arctan2(n[:, 1], n[:, 0]))
@@ -529,8 +563,14 @@ def _critical_frames(psi: np.ndarray, n: np.ndarray, branch: np.ndarray):
     flip = branch == 0
     u_b = np.where(flip[:, None, None], left[:, :, ::-1], left).conj().swapaxes(1, 2)
     u_c = np.where(flip[:, None, None], right_h[:, ::-1], right_h).conj()
+    d1 = np.where(flip[:, None], sing[:, ::-1], sing)
+    if right is not None:  # the last points' C bases are given: B's is the unitary polar factor of T1 right
+        k = len(n) - len(right)
+        left, _, right_h = np.linalg.svd(blocks[k:, 1] @ right)
+        u_b[k:], u_c[k:] = (left @ right_h).conj().swapaxes(1, 2), right.swapaxes(1, 2)
+        d1 = np.concatenate([d1[:k], np.diagonal(u_b[k:] @ blocks[k:, 1] @ right, axis1=1, axis2=2)])
     d0 = u_b @ blocks[:, 0] @ u_c.swapaxes(1, 2)
-    amps = np.concatenate([d0.reshape(-1, 4)[:, :3], np.where(flip[:, None], sing[:, ::-1], sing)], axis=1)
+    amps = np.concatenate([d0.reshape(-1, 4)[:, :3], d1], axis=1)
     return np.array([u_a, u_b, u_c]).swapaxes(0, 1), amps
 
 
@@ -587,8 +627,8 @@ def acin_decompose(psi) -> CanonicalResult:
         result = _read(psi, *_biseparable_frames(psi, product_slots))
         if result is not None:
             return result
-    n, branch, _ = _critical_points(psi.reshape(2, 2, 2))
-    result = _read(psi, *_critical_frames(psi, n, branch))
+    n, branch, _, right = _critical_points(psi.reshape(2, 2, 2))
+    result = _read(psi, *_critical_frames(psi, n, branch, right))
     if result is None:
         raise DecompositionError(
             "no canonical decomposition reached residual tolerance "

@@ -224,17 +224,24 @@ def _ref_certified(psi, amps, units):
     return None if residual > canonical.RESIDUAL_TOL else (params, residual)
 
 
-def _ref_critical(psi, t, p, branch):
+def _ref_critical(psi, t, p, branch, right=None):
     tens = psi.reshape(2, 2, 2)
     v0, v1 = np.cos(t), np.sin(t) * np.exp(1j * p)
     u_a = np.array([[np.conj(v1), -np.conj(v0)], [v0, v1]])
     t0 = u_a[0, 0] * tens[0] + u_a[0, 1] * tens[1]
     t1 = u_a[1, 0] * tens[0] + u_a[1, 1] * tens[1]
-    left, sing, right_h = np.linalg.svd(t1)
-    order = [1 - branch, branch]
-    u_b, u_c = left[:, order].conj().T, right_h[order].conj()
+    if right is None:
+        left, sing, right_h = np.linalg.svd(t1)
+        order = [1 - branch, branch]
+        u_b, u_c = left[:, order].conj().T, right_h[order].conj()
+        d1 = sing[order]
+    else:
+        # C's basis is given (a kink circle): B's is the unitary factor of the polar decomposition of t1 right
+        left, _, right_h = np.linalg.svd(t1 @ right)
+        u_b, u_c = (left @ right_h).conj().T, right.T
+        d1 = np.diag(u_b @ t1 @ right)
     d0 = u_b @ t0 @ u_c.T
-    return _ref_certified(psi, np.array([d0[0, 0], d0[0, 1], d0[1, 0], *sing[order]]), (u_a, u_b, u_c))
+    return _ref_certified(psi, np.array([d0[0, 0], d0[0, 1], d0[1, 0], *d1]), (u_a, u_b, u_c))
 
 
 def _ref_biseparable(psi, slot):
@@ -268,10 +275,12 @@ def _reference_decompose(psi):
     special = [r for r in (_ref_biseparable(psi, slot) for slot in slots) if r is not None]
     if special:
         return _ref_pick(special)
-    n, branch, _ = canonical._critical_points(psi.reshape(2, 2, 2))
+    n, branch, _, right = canonical._critical_points(psi.reshape(2, 2, 2))
     t = 0.5 * np.arccos(np.clip(n[:, 2], -1.0, 1.0))
     p = np.arctan2(n[:, 1], n[:, 0])
-    built = (_ref_critical(psi, float(tk), float(pk), int(bk)) for tk, pk, bk in zip(t, p, branch))
+    # C's bases, where given, are those of the last points
+    rights = [None] * len(n) if right is None else [None] * (len(n) - len(right)) + list(right)
+    built = (_ref_critical(psi, float(tk), float(pk), int(bk), rk) for tk, pk, bk, rk in zip(t, p, branch, rights))
     return _ref_pick([r for r in built if r is not None])
 
 

@@ -36,7 +36,7 @@ def test_index_count_holds_on_both_branches():
     failed = []
     for seed in [*range(200), 642, 866]:
         psi = states.haar_random_pure(seed)
-        _, branch, index = canonical._critical_points(psi.reshape(2, 2, 2))
+        _, branch, index, _ = canonical._critical_points(psi.reshape(2, 2, 2))
         if np.sum(index[branch == 0]) != 2 or np.sum(index[branch == 1]) != 2:
             failed.append(seed)
     assert failed == []
@@ -257,18 +257,19 @@ def _root_pass(monkeypatch, tens):
     with monkeypatch.context() as m:
         m.setattr(canonical, "_seeds", no_seed_sets)
         try:
-            return canonical._critical_points(tens)
+            return canonical._critical_points(tens)[:3]
         except LookupError:
             return None
 
 
 def _dense_search(monkeypatch, tens):
-    """The critical points of a _RETRY_SEEDS search, with no ring or root pass."""
+    """The critical points of a _RETRY_SEEDS search, with no kink circle, ring or root pass."""
     with monkeypatch.context() as m:
+        m.setattr(canonical, "_kink_points", lambda form, basis: None)
         m.setattr(canonical, "_ring_seeds", lambda form, basis: None)
         m.setattr(canonical, "_root_seeds", lambda form, basis: None)
         m.setattr(canonical, "_SEEDS", canonical._RETRY_SEEDS)
-        return canonical._critical_points(tens)
+        return canonical._critical_points(tens)[:3]
 
 
 def test_root_pass_finds_what_the_dense_search_finds(monkeypatch):
@@ -473,32 +474,48 @@ def test_a_point_on_the_cone_carries_no_index():
         assert abs(moved.alpha - base.alpha) <= 1e-7
 
 
-def test_a_kink_circle_stands_on_the_first_seed_set(monkeypatch):
+def test_a_kink_circle_reads_in_closed_form(monkeypatch):
     # l1 = l2 = 0: D has rank one and d lies in its range, so D n + d vanishes
-    # on a circle of the sphere, where both branches have a kink.  No index
-    # count can hold there, and _SEEDS stands without the _RETRY_SEEDS pass
+    # on a circle of the sphere, where both branches have a kink.  Off the
+    # circle each branch is linear in n on each side, so its critical points
+    # are read in closed form: no seed set and no Newton step
     psi = _planted((0.7, 0.0, 0.0, 0.5, 0.4), 1.0, 0)
     tens = psi.reshape(2, 2, 2)
-    assert canonical._kink_circle(canonical._bloch_form(tens))
+    form = canonical._bloch_form(tens)
+    assert canonical._kink_points(form, canonical._eigenbasis(form)) is not None
     n, branch, _ = _dense_search(monkeypatch, tens)
     dense = canonical._read(psi, *canonical._critical_frames(psi, n, branch)).params
-    calls = _count_seed_sets(monkeypatch)
+    seed_sets, newton = _count_seed_sets(monkeypatch), _count_newton(monkeypatch)
     params = canonical.acin_decompose(psi).params
-    assert len(calls) == 1 and calls[0][0] is canonical._SEEDS[0]
+    assert seed_sets == [] and newton == []
     assert np.max(np.abs(params.lambdas - dense.lambdas)) <= 1e-12
     assert abs(params.alpha - dense.alpha) <= 1e-11
+
+
+# l1 = l2 = 0 with l3 = l4: the planted representative sits on the kink circle,
+# a cone point where T1's singular bases are free.  Its C frame is read as the
+# eigenbasis of u.sigma, which every point of a kink circle shares; the seed
+# sets landed about 1e-5 off it and read l1 and l2 of about 2e-5
+@pytest.mark.parametrize("lams", [(1.0, 0.0, 0.0, 1.0, 1.0), (2.0, 0.0, 0.0, 1.0, 1.0)])
+def test_a_cone_point_of_a_kink_circle_reads_its_planted_zeros(lams):
+    planted = np.array(lams) / np.linalg.norm(lams)
+    for frame_seed in range(6):
+        params = canonical.acin_decompose(_planted(lams, 0.0, frame_seed)).params
+        assert max(params.lambda1, params.lambda2) <= 1e-12, frame_seed
+        assert abs(params.lambda0 - planted[0]) <= 1e-12, frame_seed
 
 
 def _count_rows(monkeypatch):
     """A list that gets the number of critical points of every _critical_frames call."""
     frames, rows = canonical._critical_frames, []
     monkeypatch.setattr(
-        canonical, "_critical_frames", lambda psi, n, branch: rows.append(len(n)) or frames(psi, n, branch)
+        canonical, "_critical_frames", lambda psi, n, *rest: rows.append(len(n)) or frames(psi, n, *rest)
     )
     return rows
 
 
-# each has a pole plane: two equal eigenvalues of D^T D whose (g_i, e_i) vanish
+# each has a pole plane: two equal eigenvalues of D^T D whose (g_i, e_i) vanish;
+# GHZ and xi are kink circles too, which _kink_points reads before the rings
 _RING_STATES = {
     "ghz": states.make_ghz(0.7),
     "w": states.make_w(0.3, 1.1),
@@ -611,20 +628,53 @@ def test_complex_roots_seed_critical_points_the_real_roots_miss(monkeypatch):
     assert _root_pass(monkeypatch, tens) is None
 
 
-def test_a_double_root_skips_the_root_pass(monkeypatch):
+def test_a_double_root_stands_on_its_accounted_roots(monkeypatch):
     def refuse(form, basis):
-        raise AssertionError("the root pass ran on a double root of det M(v) = 0")
+        raise AssertionError("the root pass ran on W, whose rings are read in closed form")
 
-    monkeypatch.setattr(canonical, "_root_seeds", refuse)
-    result = canonical.acin_decompose(states.make_w())
+    with monkeypatch.context() as m:
+        m.setattr(canonical, "_root_seeds", refuse)
+        result = canonical.acin_decompose(states.make_w())
     assert abs(result.params.lambda0 - np.sqrt(2.0) / 3.0) <= 1e-9
-    # W leaves through its rings before the double-root test; a planted l4 = 0
-    # state has a double root and no ring
+    # a planted l4 = 0 state has a double root of det M(v) = 0 and no ring.  Its
+    # zero is one, counted once; the accounted roots of G12 that Newton would
+    # creep onto it, only linearly, stand for it, and the rest stand alone
     psi = _planted((0.7, 0.3, 0.5, 0.4, 0.0), 1.0, 0)
-    form = canonical._bloch_form(psi.reshape(2, 2, 2))
-    assert canonical._det_zeros(psi.reshape(2, 2, 2))[1]
+    tens = psi.reshape(2, 2, 2)
+    form = canonical._bloch_form(tens)
+    zeros, double = canonical._det_zeros(tens)
+    assert double and len(zeros) == 1
     assert canonical._ring_seeds(form, canonical._eigenbasis(form)) is None
-    assert canonical.acin_decompose(psi).residual <= canonical.RESIDUAL_TOL
+    n, branch, _ = _dense_search(monkeypatch, tens)
+    dense = canonical._read(psi, *canonical._critical_frames(psi, n, branch)).params
+    seed_sets, newton = _count_seed_sets(monkeypatch), _count_newton(monkeypatch)
+    params = canonical.acin_decompose(psi).params
+    assert seed_sets == [] and len(newton) == 1
+    assert np.max(np.abs(params.lambdas - dense.lambdas)) <= 1e-12
+    assert abs(params.alpha - dense.alpha) <= 1e-11
+
+
+# kets 612 and 1557 of the near-stratum panel (near_strata.py): the quadratic
+# det(v0 A0 + v1 A1) nearly vanishes, so its discriminant reads as a double root
+# while its two zeros lie far apart.  They stay two zeros (merged into one,
+# both kets raise DecompositionError), and pick as recorded here
+_VANISHING_QUADRATIC_PICKS = {
+    612: ([0.3673698114571026, 1.3086644164789625e-08, 0.3787155378944046, 0.849478641866483, 5.319299158446659e-09],
+          2.184097145332143),
+    1557: ([0.5345593166156506, 2.240444615031276e-08, 0.5211927576606868, 0.665285236858189, 1.213749321059256e-08],
+           1.3042092966952874),
+}
+
+
+@pytest.mark.parametrize("ket", list(_VANISHING_QUADRATIC_PICKS))
+def test_a_vanishing_quadratic_keeps_its_two_zeros(ket):
+    psi = near_stratum_kets(ket + 1)[ket]
+    zeros, double = canonical._det_zeros(psi.reshape(2, 2, 2))
+    assert double and len(zeros) == 2 and np.linalg.norm(zeros[0] - zeros[1]) > canonical._SAME_ROOT
+    lambdas, alpha = _VANISHING_QUADRATIC_PICKS[ket]
+    params = canonical.acin_decompose(psi).params
+    assert np.max(np.abs(params.lambdas - lambdas)) <= 1e-12
+    assert abs(params.alpha - alpha) <= 1e-11
 
 
 # ket 109 of the near-stratum panel (near_strata.py): the eigenvalues
