@@ -47,7 +47,9 @@ equal s_i, their (g_i, e_i) 0) are read in closed form (:func:`_kink_points`,
 :func:`_ring_seeds`).  Elsewhere four stages run, each only where the one
 before fails: Newton from the accounted points alone, where each must reach
 a point of its own and, with the zeros of det T1 (one where the root is
-double), pass the index count; from every root, the pole points and the
+double), pass the index count (a pole point that reaches a zero or an
+accounted root's point is that point, and a lower-branch row left creeping
+onto a double zero stands for it); from every root, the pole points and the
 zeros; from _SEEDS; from _RETRY_SEEDS.
 
 A generic state admits four such decompositions; the returned one is
@@ -302,7 +304,7 @@ def _pole_plane(basis, gap: float, floor: float):
 
 
 def _ring_seeds(form, basis):
-    """Points (K, 3), branch signs (K,) and accounted flags (K,) critical on an exact pole plane, or None.
+    """Points (K, 3), branch signs, accounted flags and pole flags (K,) critical on an exact pole plane, or None.
 
     With the plane as axes i, j, t = n_k and a = s_k - s_P, g.n = g_k t and
     |D n + d|^2 = Q(t) = s_P + delta + a t^2 + 2 e_k t: sigma^2 depends on t
@@ -334,11 +336,12 @@ def _ring_seeds(form, basis):
             sgn = np.sign(-(a * t + ek) * gk)
         keep = np.abs(t) < 1.0
     t, sgn = np.concatenate([[1.0, -1.0, 1.0, -1.0], t[keep]]), np.concatenate([[1.0, 1.0, -1.0, -1.0], sgn[keep]])
-    return np.sqrt(1.0 - t * t)[:, None] * vec[:, pair[0]] + t[:, None] * vec[:, k], sgn, np.ones(len(t), dtype=bool)
+    points = np.sqrt(1.0 - t * t)[:, None] * vec[:, pair[0]] + t[:, None] * vec[:, k]
+    return points, sgn, np.ones(len(t), dtype=bool), np.zeros(len(t), dtype=bool)
 
 
 def _root_seeds(form, basis):
-    """Seeds (K, 3), branch signs (K,) and accounted flags (K,) at the roots nu of G12 (module docstring).
+    """Seeds (K, 3), branch signs, accounted flags and pole flags (K,) at the roots nu of G12 (module docstring).
 
     A conjugate pair of complex roots seeds once, from its real part: where
     two s_i nearly meet, true critical points can come back as such pairs.
@@ -348,7 +351,7 @@ def _root_seeds(form, basis):
     (:func:`_ring_seeds` reads an exact one), two directions of (g, e) in
     the plane, or three close s_i.
     The points of each pole, a (g_i, e_i) within _POLE of 0, follow the
-    roots, accounted; Newton polishes them where the pole is not exact.
+    roots, accounted and flagged; Newton polishes them where the pole is not exact.
     """
     d, (s, vec, gi, ei, size) = form[1], basis
     floor = _POLE * size
@@ -388,7 +391,7 @@ def _root_seeds(form, basis):
         n = ((rho[:, None] * gi + ei) / (nu[:, None] - s)) @ vec.T
         norm = np.linalg.norm(n, axis=1)
         n /= norm[:, None]
-    accounted = real & (np.abs(norm - 1.0) <= _ON_SPHERE)
+    accounted, roots = real & (np.abs(norm - 1.0) <= _ON_SPHERE), len(n)
     # the points of the hard case nu = s[i] + mid at each pole (module docstring), on the sphere as built
     for i in np.flatnonzero(np.hypot(gi, ei) <= floor):
         j = np.arange(3) != i
@@ -399,10 +402,10 @@ def _root_seeds(form, basis):
             pts = np.zeros((4, 3))
             pts[:, j] = (rho_i[:, None] * gi[j] + ei[j]) * a
             pts[:, i] = np.sqrt(1.0 - np.sum(pts * pts, axis=1)) * [1.0, -1.0, 1.0, -1.0]
-        n, rho = np.concatenate([n, pts @ vec.T]), np.concatenate([rho, rho_i])
+            n, rho = np.concatenate([n, pts @ vec.T]), np.concatenate([rho, rho_i])
         accounted = np.concatenate([accounted, np.ones(4, dtype=bool)])
     ok = np.isfinite(n).all(axis=1) & (rho != 0.0)
-    return n[ok], np.sign(rho[ok]), accounted[ok]
+    return n[ok], np.sign(rho[ok]), accounted[ok], np.flatnonzero(ok) >= roots
 
 
 def _critical_points(tens: np.ndarray):
@@ -416,11 +419,13 @@ def _critical_points(tens: np.ndarray):
     that is singular, and by Poincare-Hopf each branch sums to 2 where none
     is.  Four stages run in turn until one stands.  The accounted roots of
     G12 and pole points (:func:`_root_seeds`), each on its own branch, stand
-    where each converges to a point of its own, none a zero (a pole's lower
-    pair can be the two zeros, at planted l0 = 0), and the sums hold with no
-    singular Hessian; all the roots and pole points, with the zeros on both
-    branches, where the sums hold so.  Newton creeps onto a double zero only
-    linearly: a lower-branch seed of either root stage within _DOUBLE_ZERO
+    where each root converges to a point of its own, none a zero, and the
+    sums hold with no singular Hessian (a pole point that Newton brings within
+    _SAME_ROOT of a zero or of an accounted root's point of its branch is that
+    point; at planted l0 = 0 a pole's lower pair is the two zeros); all the
+    roots and pole points, with the zeros on both branches, where the sums
+    hold so.  Newton creeps onto a double zero only linearly: a lower-branch
+    seed of a root stage, or accounted row left unconverged, within _DOUBLE_ZERO
     of it stands for it.  The Fibonacci and cone-ring seeds of _SEEDS, with
     the zeros, on both branches, also stand where no sum can hold (a
     singular Hessian or a double root); the denser _RETRY_SEEDS always stand.
@@ -437,7 +442,7 @@ def _critical_points(tens: np.ndarray):
     stages = (_SEEDS, _RETRY_SEEDS) if roots is None else (None, (), _SEEDS, _RETRY_SEEDS)
     for seed_set in (None,) if ring is not None else stages:
         if seed_set is None:
-            seeds, sgn = roots[0][roots[2]], roots[1][roots[2]]
+            seeds, sgn, pole = roots[0][roots[2]], roots[1][roots[2]], roots[3][roots[2]]
         elif seed_set:
             seeds = np.concatenate([zeros, _seeds(form, *seed_set)])
             sgn = np.repeat([1.0, -1.0], len(seeds))
@@ -445,14 +450,24 @@ def _critical_points(tens: np.ndarray):
         else:
             seeds = np.concatenate([zeros, zeros, roots[0]])
             sgn = np.concatenate([np.repeat([1.0, -1.0], len(zeros)), roots[1]])
+            pole = np.concatenate([np.zeros(2 * len(zeros), dtype=bool), roots[3]])
         if len(zeros) == 1 and ring is None and not seed_set:  # a double zero, which Newton reaches slowly
             far = (sgn > 0.0) | (np.linalg.norm(seeds - zeros, axis=1) > _DOUBLE_ZERO)
-            seeds, sgn = seeds[far], sgn[far]
+            seeds, sgn, pole = seeds[far], sgn[far], pole[far]
         n, last, index = _newton(form, seeds, sgn)
         found = last <= _ROOT_TOL
         if ring is not None:  # Newton moves an exact point only where its tangent Hessian is 0: it stays, index 0
             stay = np.linalg.norm(n - seeds, axis=1) <= _ROOT_TOL
             n, index, found = np.where(stay[:, None], n, seeds), np.where(stay, index, 0.0), np.ones_like(stay)
+        settled = found  # rows that reached a point, or that a counted point holds
+        if seed_set is None and (len(zeros) == 1 and ring is None or np.count_nonzero(pole)):
+            # rows a counted point holds: pole points at a zero or a root's point, rows creeping onto a double zero
+            dist = np.linalg.norm(n[:, None] - np.concatenate([zeros, n[~pole]])[None], axis=2)
+            same = np.concatenate([-np.ones(len(zeros)), sgn[~pole]]) == sgn[:, None]
+            held = pole & (same & (dist <= _SAME_ROOT)).any(axis=1)
+            if len(zeros) == 1:
+                held |= ~found & (sgn < 0.0) & (dist[:, 0] <= _DOUBLE_ZERO)
+            settled, found = found | held, found & ~held
         n = np.concatenate([zeros, n[found]])
         branch = np.concatenate([np.ones(len(zeros), dtype=int), (sgn[found] < 0).astype(int)])
         index = np.concatenate([np.ones(len(zeros)), index[found]])
@@ -470,7 +485,7 @@ def _critical_points(tens: np.ndarray):
         n, branch, index = n[keep], branch[keep], index[keep]
         counted = all(np.sum(index[branch == b]) == 2 for b in (0, 1))
         # the accounted roots count only where each reaches a point of its own
-        counted &= seed_set is not None or found.all() and len(n) == len(zeros) + len(seeds)
+        counted &= seed_set is not None or settled.all() and len(n) == len(zeros) + np.count_nonzero(found)
         singular = np.any(index == 0)
         # a seed set also stands where no count can hold
         if counted and not singular or seed_set and (double or singular):

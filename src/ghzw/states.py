@@ -167,10 +167,13 @@ def haar_random_pure(seed: int) -> np.ndarray:
 def mix(components) -> np.ndarray:
     """Density matrix of a convex mixture of pure states.
 
-    `components` is a sequence of (weight, ket) pairs with nonnegative
-    weights summing to 1.
+    `components` is a sequence of (weight, ket) pairs with finite,
+    nonnegative weights summing to 1.
     """
     weights = np.array([float(p) for p, _ in components])
+    # a NaN weight fails neither comparison below
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("mixture weights must be finite")
     if np.any(weights < 0):
         raise ValueError("mixture weights must be nonnegative")
     if abs(weights.sum() - 1.0) > NORM_TOL:

@@ -106,6 +106,9 @@ def test_mix_validates_weights():
         states.mix([(0.5, psi)])
     with pytest.raises(ValueError):
         states.mix([(-0.5, psi), (1.5, psi)])
+    # NaN compares false both ways: it is neither negative nor off the unit sum
+    with pytest.raises(ValueError, match="finite"):
+        states.mix([(float("nan"), psi), (1.0, psi)])
 
 
 def test_check_pure_rejects_unnormalized():
