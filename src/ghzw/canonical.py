@@ -66,6 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classify, qcore, states
+from .qcore import _frozen
 
 RESIDUAL_TOL = 1e-8
 
@@ -101,7 +102,7 @@ class DecompositionError(RuntimeError):
 
 def _check_unitary(us: np.ndarray) -> None:
     """Raise ValueError unless every 2x2 of the stack us is unitary within _UNITARY_TOL."""
-    if np.abs(np.swapaxes(us.conj(), -1, -2) @ us - np.eye(2)).max(initial=0.0) > _UNITARY_TOL:
+    if np.maximum.reduce(np.abs(us.conj().swapaxes(-1, -2) @ us - _EYE2), None, initial=0.0) > _UNITARY_TOL:
         raise ValueError(f"local unitaries must be unitary within {_UNITARY_TOL}")
 
 
@@ -109,11 +110,12 @@ def _apply(frames: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """(u_a x u_b x u_c) psi, (K, 8), for frames (K, 3, 2, 2), one qubit at a time."""
     t = (frames[:, 0] @ psi.reshape(2, 4)).reshape(-1, 2, 2, 2)
     t = frames[:, 1, None] @ t
-    return (t @ np.swapaxes(frames[:, 2], 1, 2)[:, None]).reshape(-1, 8)
+    return (t @ frames[:, 2].swapaxes(1, 2)[:, None]).reshape(-1, 8)
 
 
 # the Pauli basis (1, x, y, z): a Hermitian 2x2 X is sum_k tr(X P_k) P_k / 2
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI = _frozen(np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]))
+_EYE2, _EYE3, _ONES = _frozen(np.eye(2)), _frozen(np.eye(3)), _frozen(np.ones(3))
 _NEWTON_STEPS = 16
 _MAX_STEP = 0.5  # longest Newton move, as a chord of the unit sphere
 _CONE_EPS = 1e-12  # floor of |D n + d| beside the cone point
@@ -126,6 +128,14 @@ _TANGLE_EPS = 1e-12  # three-tangle below which det M(v) = 0 has a double root
 _POLE = 1e-4  # relative gap of the s_i at or below which two are one; a |(g_i, e_i)| this small is a pole
 _ON_SPHERE = 1e-3  # largest | |n(nu)| - 1 | of an accounted real root of G12
 _EXACT = 1e-12  # relative size at or below which a pole plane, a flat branch or a cone is exact
+# G12's companion matrix less its first row, the powers nu^6 ... nu^0, and the derivative weights 4, 3, 2, 1
+_COMPANION, _POWERS = _frozen(np.eye(12, k=-1)), _frozen(np.arange(6, -1, -1))
+_SLOPE = _frozen(np.arange(4.0, 0.0, -1.0))
+
+
+def _norms(x: np.ndarray, axis, keepdims: bool = False) -> np.ndarray:
+    """numpy.linalg.norm(x, axis=axis, keepdims=keepdims) for one axis: its formula, bit for bit, without its wrapper."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis, keepdims=keepdims))
 
 
 def _bloch_form(tens: np.ndarray):
@@ -165,22 +175,22 @@ def _newton(form, n: np.ndarray, sgn: np.ndarray):
     n = n.copy()
     length, index = np.full(len(n), np.inf), np.zeros(len(n))
     for _ in range(_NEWTON_STEPS):
-        live = np.flatnonzero(length > _ROOT_TOL)
+        live = (length > _ROOT_TOL).nonzero()[0]
         if not live.size:
             break
         x, s = n[live], sgn[live, None]
         w = x @ dm.T + d
-        r = np.linalg.norm(w, axis=1, keepdims=True)
+        r = _norms(w, 1, True)
         cone = r[:, 0] <= _CONE_EPS
         r = np.maximum(r, _CONE_EPS)
         de = (w / r) @ dm
         grad = g + s * de
-        lam = np.sum(x * grad, axis=1)
+        lam = np.add.reduce(x * grad, 1)
         q = grad - lam[:, None] * x
-        hess = (s / r)[:, :, None] * (gram - de[:, :, None] * de[:, None, :]) - lam[:, None, None] * np.eye(3)
-        proj = np.eye(3) - x[:, :, None] * x[:, None, :]
+        hess = (s / r)[:, :, None] * (gram - de[:, :, None] * de[:, None, :]) - lam[:, None, None] * _EYE3
+        proj = _EYE3 - x[:, :, None] * x[:, None, :]
         t = proj @ hess @ proj
-        trace, size = np.trace(t, axis1=1, axis2=2), np.sum(t * t, axis=(1, 2))
+        trace, size = t.trace(0, 1, 2), np.add.reduce(t * t, (1, 2))
         det = (trace * trace - size) / 2.0
         flat = np.abs(det) <= _SINGULAR * size
         index[live] = np.where(flat | cone, 0.0, np.sign(det))
@@ -188,9 +198,9 @@ def _newton(form, n: np.ndarray, sgn: np.ndarray):
         pinv_move = -tq / np.maximum(size, 1e-300)[:, None]
         newton_move = (tq - trace[:, None] * q) / np.where(flat, 1.0, det)[:, None]
         move = np.where(flat[:, None], pinv_move, newton_move)
-        length[live] = np.linalg.norm(move, axis=1)
+        length[live] = _norms(move, 1)
         x = x + move * np.minimum(1.0, _MAX_STEP / np.maximum(length[live], 1e-300))[:, None]
-        n[live] = x / np.linalg.norm(x, axis=1, keepdims=True)
+        n[live] = x / _norms(x, 1, True)
     return n, length, index
 
 
@@ -204,7 +214,7 @@ def _det_zeros(tens: np.ndarray):
     al.).  A double root's zeros are one where they meet within _SAME_ROOT.
     """
     a0, a1 = tens
-    qa, qc = np.linalg.det(a0), np.linalg.det(a1)
+    qa, qc = np.linalg.det(tens)
     qb = a0[0, 0] * a1[1, 1] + a1[0, 0] * a0[1, 1] - a0[0, 1] * a1[1, 0] - a1[0, 1] * a0[1, 0]
     disc = qb * qb - 4.0 * qa * qc
     double = 4.0 * abs(disc) <= _TANGLE_EPS
@@ -212,12 +222,13 @@ def _det_zeros(tens: np.ndarray):
     root = 0.0 if double else np.sqrt(complex(disc))
     q = -(qb + root) / 2.0 if (np.conj(qb) * root).real >= 0.0 else -(qb - root) / 2.0
     v = np.array([(qc, q), (q, qa)], dtype=complex)
-    v = v[np.linalg.norm(v, axis=1) > 1e-150]
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v = v[_norms(v, 1) > 1e-150]
+    v /= _norms(v, 1, True)
     cross = np.conj(v[:, 0]) * v[:, 1]
     bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag, np.abs(v[:, 0]) ** 2 - np.abs(v[:, 1]) ** 2], 1)
-    if double and len(bloch) and np.linalg.norm(bloch[0] - bloch[-1]) <= _SAME_ROOT:
-        bloch = bloch[:1]
+    if double and len(bloch):
+        gap = bloch[0] - bloch[-1]  # numpy's 1-d norm is sqrt(dot), which may round unlike a sum of squares
+        bloch = bloch[:1] if np.sqrt(gap.dot(gap)) <= _SAME_ROOT else bloch
     return bloch, double
 
 
@@ -230,8 +241,8 @@ def _fibonacci(n: int) -> np.ndarray:
 
 
 # seed sets: Fibonacci points, then cone-ring scales and directions
-_SEEDS = (_fibonacci(64), 4, 12)
-_RETRY_SEEDS = (_fibonacci(512), 8, 24)
+_SEEDS = (_frozen(_fibonacci(64)), 4, 12)
+_RETRY_SEEDS = (_frozen(_fibonacci(512)), 8, 24)
 
 
 def _seeds(form, fibonacci: np.ndarray, n_scales: int, n_dirs: int) -> np.ndarray:
@@ -245,13 +256,14 @@ def _seeds(form, fibonacci: np.ndarray, n_scales: int, n_dirs: int) -> np.ndarra
     seeds = [fibonacci]
     # a singular D has no single cone point, and n* = 0 no direction
     m = -np.linalg.solve(dm, d) if abs(np.linalg.det(dm)) > _SINGULAR_D else np.zeros(3)
-    if np.linalg.norm(m) > 0.0:
-        m /= np.linalg.norm(m)
+    size = np.sqrt(m.dot(m))
+    if size > 0.0:
+        m /= size
         b1, b2 = np.linalg.svd(m[None])[2][1:]  # an orthonormal pair orthogonal to m
         phi = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
         ring = np.outer(np.cos(phi), b1) + np.outer(np.sin(phi), b2)
         pts = (m + np.geomspace(0.1, 1e-4, n_scales)[:, None, None] * ring).reshape(-1, 3)
-        seeds.append(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        seeds.append(pts / _norms(pts, 1, True))
     return np.concatenate(seeds)
 
 
@@ -271,17 +283,18 @@ def _kink_points(form, basis):
     if s[1] > _EXACT * s[-1] or ei @ ei < (1.0 - _EXACT) * s[-1] * (d @ d):  # D of rank two, or d off its range
         return None
     left, sing, right_h = np.linalg.svd(dm)
-    if sing[1] + np.linalg.norm(d @ left[:, 1:]) > _CONE_EPS or sing[0] <= _CONE_EPS:
+    off = d @ left[:, 1:]
+    if sing[1] + np.sqrt(off.dot(off)) > _CONE_EPS or sing[0] <= _CONE_EPS:
         return None
     u, w, c = left[:, 0], right_h[0], d @ left[:, 0] / sing[0]
     t = np.array([1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
     with np.errstate(divide="ignore", invalid="ignore"):
         v, perp = g + np.outer(t[:2], sing[0] * w), g - (g @ w) * w
-        ring = -c * w + np.sqrt(1.0 - c * c) * np.outer(t[:2], perp / np.linalg.norm(perp))
+        ring = -c * w + np.sqrt(1.0 - c * c) * np.outer(t[:2], perp / np.sqrt(perp.dot(perp)))
         n = np.concatenate([v, -v, ring, ring])
-        n /= np.linalg.norm(n, axis=1, keepdims=True)  # beside a pole, arccos(n_z) magnifies | |n| - 1 | to sqrt
+        n /= _norms(n, 1, True)  # beside a pole, arccos(n_z) magnifies | |n| - 1 | to sqrt
     side = np.concatenate([np.sign(n[:4] @ w + c), np.ones(4)])
-    ok = np.isfinite(n).all(axis=1) & (side != 0.0)
+    ok = np.logical_and.reduce(np.isfinite(n), 1) & (side != 0.0)
     e = np.linalg.eigh(np.einsum("k,kij->ij", u, _PAULI[1:]))[1]  # the eigenvectors of u.sigma for -1, +1
     right = np.where(t[4:, None, None] > 0.0, e, e[:, ::-1])
     return n[ok], (t * side < 0.0)[ok].astype(int), np.repeat([1.0, 0.0], 4)[ok], right[ok[4:]]
@@ -298,9 +311,9 @@ def _eigenbasis(form):
 def _pole_plane(basis, gap: float, floor: float):
     """The one pair of s_i within gap * s_max (() if none, None if three), and whether its (g_i, e_i) lie within floor."""
     s, _, gi, ei, _ = basis
-    close = np.flatnonzero(np.diff(s) <= gap * s[-1])
+    close = (s[1:] - s[:-1] <= gap * s[-1]).nonzero()[0]
     pair = close[0] + np.arange(2) if close.size == 1 else None if close.size else ()
-    return pair, close.size == 1 and np.hypot(gi[pair], ei[pair]).max() <= floor
+    return pair, close.size == 1 and np.maximum.reduce(np.hypot(gi[pair], ei[pair])) <= floor
 
 
 def _ring_seeds(form, basis):
@@ -359,7 +372,7 @@ def _root_seeds(form, basis):
     if pair is None or plane:
         return None
     if len(pair):
-        turn, sing, _ = np.linalg.svd(np.column_stack([gi[pair], ei[pair]]))
+        turn, sing, _ = np.linalg.svd(np.stack([gi[pair], ei[pair]], 1))
         if sing[1] > floor:
             return None
         s, vec, gi, ei = s.copy(), vec.copy(), gi.copy(), ei.copy()
@@ -367,33 +380,34 @@ def _root_seeds(form, basis):
         gi[pair], ei[pair] = turn.T @ gi[pair], turn.T @ ei[pair]
     # nu is counted from the middle s_i: rounding then spares the cluster where two s_i come close
     mid, s = s[1], s - s[1]
-    s1, s2 = s.sum(), s[0] * s[1] + s[0] * s[2] + s[1] * s[2]
-    p = np.array([1.0, -s1, s2, -s.prod()])
-    p_i = np.column_stack([np.ones(3), s - s1, s2 - s * (s1 - s)])  # P / (nu - s_i)
+    s1, s2 = np.add.reduce(s), s[0] * s[1] + s[0] * s[2] + s[1] * s[2]
+    p = np.array([1.0, -s1, s2, -np.multiply.reduce(s)])
+    p_i = np.stack([_ONES, s - s1, s2 - s * (s1 - s)], 1)  # P / (nu - s_i)
     w = (ei[[1, 2, 0]] * gi[[2, 0, 1]] - ei[[2, 0, 1]] * gi[[1, 2, 0]]) ** 2  # (e x g)_k^2
     b, c = p + np.concatenate([[0.0], gi * gi @ p_i]), gi * ei @ p_i
-    m = np.convolve([1.0, d @ d + mid], b) + np.concatenate([[0.0, 0.0], ei * ei @ p_i]) + [0, 0, 0, w.sum(), -w @ s]
-    dp, dm_, dc = p[:-1] * [3, 2, 1], m[:-1] * [4, 3, 2, 1], c[:-1] * [2, 1]
+    m = np.convolve([1.0, d @ d + mid], b) + np.concatenate([[0.0, 0.0], ei * ei @ p_i])
+    m += [0, 0, 0, np.add.reduce(w), -w @ s]
+    dp, dm_, dc = p[:-1] * _SLOPE[1:], m[:-1] * _SLOPE, c[:-1] * _SLOPE[2:]
     wm, wc = np.convolve(dm_, p) - np.convolve(m, dp), np.convolve(dc, p) - np.convolve(c, dp)
     g12 = np.convolve(wm, wm)
     g12[3:] += 4.0 * np.convolve(wc, np.convolve(c, dm_) - np.convolve(dc, m))
-    companion = np.eye(12, k=-1)  # G12 is monic: np.roots without its trimming
+    companion = _COMPANION.copy()  # G12 is monic: np.roots without its trimming
     companion[0] = -g12[1:]
     nu = np.linalg.eigvals(companion)
     nu = nu[nu.imag >= 0.0]
     real, nu = nu.imag == 0.0, nu.real
-    powers = nu[:, None] ** np.arange(6, -1, -1)
+    powers = nu[:, None] ** _POWERS
     with np.errstate(divide="ignore", invalid="ignore"):
         # rho = -(ab)' / (2 b c') = -(wm P + 2 C wc) / (2 B wc)
         wc_nu = powers[:, 2:] @ wc
         rho = -(powers @ wm * (powers[:, 3:] @ p) + 2.0 * (powers[:, 4:] @ c) * wc_nu)
         rho /= 2.0 * (powers[:, 3:] @ b) * wc_nu
         n = ((rho[:, None] * gi + ei) / (nu[:, None] - s)) @ vec.T
-        norm = np.linalg.norm(n, axis=1)
+        norm = _norms(n, 1)
         n /= norm[:, None]
     accounted, roots = real & (np.abs(norm - 1.0) <= _ON_SPHERE), len(n)
     # the points of the hard case nu = s[i] + mid at each pole (module docstring), on the sphere as built
-    for i in np.flatnonzero(np.hypot(gi, ei) <= floor):
+    for i in (np.hypot(gi, ei) <= floor).nonzero()[0]:
         j = np.arange(3) != i
         with np.errstate(divide="ignore", invalid="ignore"):
             a = 1.0 / (s[i] - s[j])
@@ -401,11 +415,11 @@ def _root_seeds(form, basis):
             rho_i = np.sqrt(rho_sq) * np.array([1.0, 1.0, -1.0, -1.0])
             pts = np.zeros((4, 3))
             pts[:, j] = (rho_i[:, None] * gi[j] + ei[j]) * a
-            pts[:, i] = np.sqrt(1.0 - np.sum(pts * pts, axis=1)) * [1.0, -1.0, 1.0, -1.0]
+            pts[:, i] = np.sqrt(1.0 - np.add.reduce(pts * pts, 1)) * [1.0, -1.0, 1.0, -1.0]
             n, rho = np.concatenate([n, pts @ vec.T]), np.concatenate([rho, rho_i])
         accounted = np.concatenate([accounted, np.ones(4, dtype=bool)])
-    ok = np.isfinite(n).all(axis=1) & (rho != 0.0)
-    return n[ok], np.sign(rho[ok]), accounted[ok], np.flatnonzero(ok) >= roots
+    ok = np.logical_and.reduce(np.isfinite(n), 1) & (rho != 0.0)
+    return n[ok], np.sign(rho[ok]), accounted[ok], ok.nonzero()[0] >= roots
 
 
 def _critical_points(tens: np.ndarray):
@@ -452,41 +466,44 @@ def _critical_points(tens: np.ndarray):
             sgn = np.concatenate([np.repeat([1.0, -1.0], len(zeros)), roots[1]])
             pole = np.concatenate([np.zeros(2 * len(zeros), dtype=bool), roots[3]])
         if len(zeros) == 1 and ring is None and not seed_set:  # a double zero, which Newton reaches slowly
-            far = (sgn > 0.0) | (np.linalg.norm(seeds - zeros, axis=1) > _DOUBLE_ZERO)
+            far = (sgn > 0.0) | (_norms(seeds - zeros, 1) > _DOUBLE_ZERO)
             seeds, sgn, pole = seeds[far], sgn[far], pole[far]
         n, last, index = _newton(form, seeds, sgn)
         found = last <= _ROOT_TOL
         if ring is not None:  # Newton moves an exact point only where its tangent Hessian is 0: it stays, index 0
-            stay = np.linalg.norm(n - seeds, axis=1) <= _ROOT_TOL
+            stay = _norms(n - seeds, 1) <= _ROOT_TOL
             n, index, found = np.where(stay[:, None], n, seeds), np.where(stay, index, 0.0), np.ones_like(stay)
         settled = found  # rows that reached a point, or that a counted point holds
         if seed_set is None and (len(zeros) == 1 and ring is None or np.count_nonzero(pole)):
             # rows a counted point holds: pole points at a zero or a root's point, rows creeping onto a double zero
-            dist = np.linalg.norm(n[:, None] - np.concatenate([zeros, n[~pole]])[None], axis=2)
-            same = np.concatenate([-np.ones(len(zeros)), sgn[~pole]]) == sgn[:, None]
-            held = pole & (same & (dist <= _SAME_ROOT)).any(axis=1)
+            dist = _norms(n[:, None] - np.concatenate([zeros, n[~pole]])[None], 2)
+            same = np.concatenate([-_ONES[: len(zeros)], sgn[~pole]]) == sgn[:, None]
+            held = pole & np.logical_or.reduce(same & (dist <= _SAME_ROOT), 1)
             if len(zeros) == 1:
                 held |= ~found & (sgn < 0.0) & (dist[:, 0] <= _DOUBLE_ZERO)
             settled, found = found | held, found & ~held
         n = np.concatenate([zeros, n[found]])
-        branch = np.concatenate([np.ones(len(zeros), dtype=int), (sgn[found] < 0).astype(int)])
-        index = np.concatenate([np.ones(len(zeros)), index[found]])
+        branch = np.concatenate([_ONES[: len(zeros)], sgn[found] < 0.0]).astype(int)
+        index = np.concatenate([_ONES[: len(zeros)], index[found]])
         # most roots are reached from many seeds: keep the first of each run of exact repeats in a
         # stable sort (np.unique(axis=0) keeps the same but costs more), then compare the few left pairwise
-        key = np.column_stack([np.round(n / _SAME_ROOT), branch])
+        key = np.concatenate([np.rint(n / _SAME_ROOT), branch[:, None]], 1)
         order = np.lexsort(key.T)
         key = key[order]
         starts = np.ones(len(key), dtype=bool)
-        starts[1:] = (key[1:] != key[:-1]).any(axis=1)
-        first = np.sort(order[starts])
+        starts[1:] = np.logical_or.reduce(key[1:] != key[:-1], 1)
+        first = order[starts]
+        first.sort()
         n, branch, index = n[first], branch[first], index[first]
-        near = np.linalg.norm(n[:, None] - n[None], axis=2) <= _SAME_ROOT
-        keep = ~np.tril(near & (branch[:, None] == branch[None]), -1).any(axis=1)
+        near = _norms(n[:, None] - n[None], 2) <= _SAME_ROOT
+        rank = np.arange(len(n))
+        keep = ~np.logical_or.reduce(near & (branch[:, None] == branch) & (rank[:, None] > rank), 1)
         n, branch, index = n[keep], branch[keep], index[keep]
-        counted = all(np.sum(index[branch == b]) == 2 for b in (0, 1))
+        counted = np.add.reduce(index[branch == 0]) == 2 and np.add.reduce(index[branch == 1]) == 2
         # the accounted roots count only where each reaches a point of its own
-        counted &= seed_set is not None or settled.all() and len(n) == len(zeros) + np.count_nonzero(found)
-        singular = np.any(index == 0)
+        own = np.logical_and.reduce(settled) and len(n) == len(zeros) + np.count_nonzero(found)
+        counted &= seed_set is not None or own
+        singular = np.logical_or.reduce(index == 0)
         # a seed set also stands where no count can hold
         if counted and not singular or seed_set and (double or singular):
             break
@@ -496,11 +513,11 @@ def _critical_points(tens: np.ndarray):
 # coefficients of the support phases (000, 001, 010, 100, 111) in alpha;
 # local Z rotations shift the phase at slot (qA, qB, qC) by a_qA + b_qB + c_qC,
 # which this combination cancels
-_ALPHA_COEF = np.array([-2.0, 1.0, 1.0, 1.0, -1.0])
-_PINNED = np.array([0, 2, 3, 4])  # the slots made real nonnegative
+_ALPHA_COEF = _frozen(np.array([-2.0, 1.0, 1.0, 1.0, -1.0]))
+_PINNED = _frozen(np.array([0, 2, 3, 4]))  # the slots made real nonnegative
 # the Z-rotation phases (a0, a1, b0, b1, c0, c1) in the support phases: a0 = b0 = 0,
 # a1 = p000 - p100, b1 = p000 - p010, c0 = -p000, c1 = p100 + p010 - 2 p000 - p111
-_Z_PHASES = np.array([[0] * 5, [1, 0, 0, -1, 0], [0] * 5, [1, 0, -1, 0, 0], [-1, 0, 0, 0, 0], [-2, 0, 1, 1, -1]]).T
+_Z_PHASES = _frozen(np.array([[0] * 5, [1, 0, 0, -1, 0], [0] * 5, [1, 0, -1, 0, 0], [-1, 0, 0, 0, 0], [-2, 0, 1, 1, -1]])).T
 
 
 def _phase_fix(amps: np.ndarray):
@@ -512,11 +529,11 @@ def _phase_fix(amps: np.ndarray):
     amplitude vanishes its free phase is spent on setting alpha to 0, and
     alpha is 0 when d001 itself vanishes.
     """
-    ph = np.angle(amps)
+    ph = np.arctan2(amps.imag, amps.real)
     alpha = ph @ _ALPHA_COEF
     small = np.abs(amps) <= _AMP_EPS
     idle = small[:, _PINNED]
-    spent = idle.any(axis=1)
+    spent = np.logical_or.reduce(idle, 1)
     first = _PINNED[idle.argmax(axis=1)]  # the first vanishing pinned slot, where one is
     shift = np.where(spent, alpha / _ALPHA_COEF[first], 0.0)  # of that slot's phase
     alpha[spent | small[:, 1]] = 0.0
@@ -540,21 +557,21 @@ def _read(psi: np.ndarray, frames: np.ndarray, amps: np.ndarray) -> CanonicalRes
     alpha, zs = _phase_fix(amps)
     alpha[alpha > 2.0 * np.pi - _ALPHA_SLACK] = 0.0
     lams = np.hypot(amps.real, amps.imag)  # rounds as scalar abs(); np.abs may not
-    lams /= np.maximum(np.sqrt((lams * lams).sum(axis=1)), 1e-300)[:, None]  # all-zero rows fail the sum
+    lams /= np.maximum(_norms(lams, 1), 1e-300)[:, None]  # all-zero rows fail the sum
     # AcinParams' checks: >= is False on NaN, and an infinite entry fails the sum
-    ok = (alpha <= np.pi + _ALPHA_SLACK) & (lams >= 0.0).all(axis=1)
-    ok &= np.abs((lams * lams).sum(axis=1) - 1.0) <= states._ACIN_NORM_TOL
+    ok = (alpha <= np.pi + _ALPHA_SLACK) & np.logical_and.reduce(lams >= 0.0, 1)
+    ok &= np.abs(np.add.reduce(lams * lams, 1) - 1.0) <= states._ACIN_NORM_TOL
     alpha = np.minimum(alpha, np.pi)
     units = zs[..., None] * frames
     _check_unitary(units)
-    residual = np.linalg.norm(_apply(units, psi) - states._acin_kets(lams, alpha), axis=1)
-    live = np.flatnonzero(ok & (residual <= RESIDUAL_TOL))
+    residual = _norms(_apply(units, psi) - states._acin_kets(lams, alpha), 1)
+    live = (ok & (residual <= RESIDUAL_TOL)).nonzero()[0]
     if not live.size:
         return None
     for col in (-lams[:, 0], alpha, *-lams[:, 1:].T):
         if live.size == 1:
             break
-        live = live[col[live] <= col[live].min() + _TIE_TOL]
+        live = live[col[live] <= np.minimum.reduce(col[live]) + _TIE_TOL]
     k = live[0]
     params = states.AcinParams(*lams[k].tolist(), alpha=float(alpha[k]))
     return CanonicalResult(params=params, unitaries=LocalUnitaries(*units[k]), residual=float(residual[k]))
@@ -568,11 +585,11 @@ def _critical_frames(psi: np.ndarray, n: np.ndarray, branch: np.ndarray, right=N
     diag(sing[order]), so only the A=0 block's support amplitudes change.
     right (K', 2, 2), where given, holds the last K' points' C bases by columns.
     """
-    t = 0.5 * np.arccos(np.clip(n[:, 2], -1.0, 1.0))
+    t = 0.5 * np.arccos(np.minimum(np.maximum(n[:, 2], -1.0), 1.0))
     v0, v1 = np.cos(t), np.sin(t) * np.exp(1j * np.arctan2(n[:, 1], n[:, 0]))
     u_a = np.array([[np.conj(v1), -np.conj(v0)], [v0, v1]]).transpose(2, 0, 1)
     # entry by entry, not by matmul: T1's singular vectors scale its rounding by 1 / (singular gap)
-    blocks = (u_a[..., None, None] * psi.reshape(2, 2, 2)).sum(axis=2)
+    blocks = np.add.reduce(u_a[..., None, None] * psi.reshape(2, 2, 2), 2)
     left, sing, right_h = np.linalg.svd(blocks[:, 1])
     # branch 0 takes the singular pair in the order (smaller, larger)
     flip = branch == 0
@@ -583,7 +600,7 @@ def _critical_frames(psi: np.ndarray, n: np.ndarray, branch: np.ndarray, right=N
         k = len(n) - len(right)
         left, _, right_h = np.linalg.svd(blocks[k:, 1] @ right)
         u_b[k:], u_c[k:] = (left @ right_h).conj().swapaxes(1, 2), right.swapaxes(1, 2)
-        d1 = np.concatenate([d1[:k], np.diagonal(u_b[k:] @ blocks[k:, 1] @ right, axis1=1, axis2=2)])
+        d1 = np.concatenate([d1[:k], (u_b[k:] @ blocks[k:, 1] @ right).diagonal(0, 1, 2)])
     d0 = u_b @ blocks[:, 0] @ u_c.swapaxes(1, 2)
     amps = np.concatenate([d0.reshape(-1, 4)[:, :3], d1], axis=1)
     return np.array([u_a, u_b, u_c]).swapaxes(0, 1), amps
@@ -592,8 +609,8 @@ def _critical_frames(psi: np.ndarray, n: np.ndarray, branch: np.ndarray, right=N
 _PRODUCT_EIG_TOL = 1e-15
 # by solo slot: which of the (solo, first pair, second pair) frames qubits A, B and C take,
 # and which of the slots 001, 010 and 100 hold e, the ones with the solo qubit at 0
-_PLACE = np.array([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
-_PAIR_SLOTS = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+_PLACE = _frozen(np.array([[0, 1, 2], [1, 0, 2], [1, 2, 0]]))
+_PAIR_SLOTS = _frozen(np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
 _SCHMIDT_FLOOR = 1e-14  # pair Schmidt values s1 <= this * s0 are rounding, taken as 0
 
 
@@ -637,7 +654,7 @@ def acin_decompose(psi) -> CanonicalResult:
     """
     psi = states.check_pure(psi)
     spectra = qcore._reduced_spectra(psi[None])[0]
-    product_slots = np.flatnonzero(spectra[:, 1] <= _PRODUCT_EIG_TOL)
+    product_slots = (spectra[:, 1] <= _PRODUCT_EIG_TOL).nonzero()[0]
     if product_slots.size:
         result = _read(psi, *_biseparable_frames(psi, product_slots))
         if result is not None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
+from .qcore import _frozen
 
 #: minima within this band of zero are boundary cases: not detected, and
 #: not asserted either way in equivalence tests
@@ -131,7 +132,7 @@ def _ghz_min(rhos: np.ndarray) -> tuple:
     r07 = rhos[:, 0, 7]
     mod = np.hypot(r07.real, r07.imag)
     value = 0.5 - (rhos[:, 0, 0].real + rhos[:, 7, 7].real + 2.0 * mod) / 2.0
-    return value, np.where(mod > _PHASE_EPS, -np.angle(r07), 0.0)
+    return value, np.where(mod > _PHASE_EPS, -np.arctan2(r07.imag, r07.real), 0.0)
 
 
 def min_w_expectation_mixed(rho) -> tuple[float, float, float]:
@@ -151,7 +152,7 @@ def min_w_expectation_mixed(rho) -> tuple[float, float, float]:
 
 
 #: the companion matrix of a monic sextic less its first row
-_SHIFT = np.eye(6, k=-1, dtype=complex)
+_SHIFT = _frozen(np.eye(6, k=-1, dtype=complex))
 
 #: |c6| at or below this fraction of max(|c5|, |c3|) counts as 0: the m01 b = 0
 #: limit's closed-form roots then move w_min by up to about half the ratio, while
@@ -200,21 +201,22 @@ def _w_min(rhos: np.ndarray) -> tuple:
     c4 = sq01 * b - 2.0 * norm01 * b.conj()
     c3 = 2.0 * ((b * b.conj()).real - norm01 * size)
     gammas = np.zeros((n, 9))
-    gammas[:, 1] = np.angle(-b)
-    gammas[:, 2] = -np.angle(m01)
+    gammas[:, 1] = np.arctan2(-b.imag, -b.real)
+    gammas[:, 2] = -np.arctan2(m01.imag, m01.real)
     lead, scale = np.abs(c6), np.maximum(np.abs(c5), np.abs(c3))
     flat = lead <= _FLAT_SEXTIC * scale
     live = slice(None)
-    if flat.any():
+    if np.logical_or.reduce(flat):
         live = ~flat
         # the other root slots stay at gamma = 0, already a candidate
-        gammas[flat, 3] = np.angle(b[flat])
+        gammas[flat, 3] = np.arctan2(b[flat].imag, b[flat].real)
     # the first row of each monic companion, -(c5, ..., c0) / c6
-    top = -np.stack([c5, c4, c3, c4.conj(), c5.conj(), c6.conj()], axis=1)[live] / c6[live, None]
+    top = -np.array([c5, c4, c3, c4.conj(), c5.conj(), c6.conj()]).T[live] / c6[live, None]
     companion = np.empty(top.shape + (6,), dtype=complex)
     companion[:] = _SHIFT
     companion[:, 0] = top
-    gammas[live, 3:] = np.angle(np.linalg.eigvals(companion))
+    roots = np.linalg.eigvals(companion)
+    gammas[live, 3:] = np.arctan2(roots.imag, roots.real)
     rot = np.exp(1j * gammas)
     combined = m02[:, None] + m12[:, None] * rot.conj()
     profile = 2.0 * (m01[:, None] * rot).real + 2.0 * np.abs(combined)
@@ -222,7 +224,7 @@ def _w_min(rhos: np.ndarray) -> tuple:
     gamma, best, combined = gammas[pick], profile[pick], combined[pick]
     # Im(lift) is half the profile's slope and curve minus half its curvature;
     # |c| is floored at _PHASE_EPS, and a point that is not concave takes no step
-    near = np.flatnonzero(lead <= _FLAT_SEXTIC**0.5 * scale)
+    near = (lead <= _FLAT_SEXTIC**0.5 * scale).nonzero()[0]
     if len(near):
         rot, mod = rot[pick][near], np.maximum(np.abs(combined[near]), _PHASE_EPS)
         kink = b[near] / rot / mod
@@ -234,7 +236,7 @@ def _w_min(rhos: np.ndarray) -> tuple:
         raised = 2.0 * ((m01[near] * rot).real + np.abs(moved))
         up = raised > best[near]
         gamma[near[up]], best[near[up]], combined[near[up]] = newton[up], raised[up], moved[up]
-    beta = np.where(np.abs(combined) > _PHASE_EPS, -np.angle(combined), 0.0)
+    beta = np.where(np.abs(combined) > _PHASE_EPS, -np.arctan2(combined.imag, combined.real), 0.0)
     return 2.0 / 3.0 - (s + best) / 3.0, np.mod(gamma, 2.0 * np.pi), np.mod(beta, 2.0 * np.pi)
 
 

@@ -20,6 +20,12 @@ import numpy as np
 QUBIT_SLOTS = {"A": 0, "B": 1, "C": 2}
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """array, made read-only: a module constant is shared by every call, so a write would corrupt the rest."""
+    array.setflags(write=False)
+    return array
+
+
 def qubit_slot(label) -> int:
     """Normalize a qubit label ('A'/'B'/'C', in either case) to a tensor slot."""
     if not isinstance(label, str) or label.upper() not in QUBIT_SLOTS:
@@ -48,8 +54,8 @@ def _partial_transpose(rho: np.ndarray, cut) -> np.ndarray:
 #: basis indices of the solo-vs-pair matrices: psi[_SOLO_INDEX[slot]] is
 #: 2x4, rows indexing that qubit and columns the other two in order, so
 #: the matrix times its adjoint is that qubit's reduced state
-_SOLO_INDEX = np.stack(
-    [np.arange(8).reshape(2, 2, 2).transpose(axes).reshape(2, 4) for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+_SOLO_INDEX = _frozen(
+    np.stack([np.arange(8).reshape(2, 2, 2).transpose(axes).reshape(2, 4) for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1))])
 )
 
 
@@ -83,7 +89,8 @@ def _spectrum_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ],
         1,
     )
-    return left, right, np.repeat(sign[:, :, None, None], 3, axis=2)  # (4, 20, 3, 1), broadcast over N
+    sign = np.repeat(sign[:, :, None, None], 3, axis=2)  # (4, 20, 3, 1), broadcast over N
+    return _frozen(left), _frozen(right), _frozen(sign)
 
 
 _LEFT, _RIGHT, _SIGN = _spectrum_terms()
@@ -121,9 +128,9 @@ def _reduced_spectra(kets: np.ndarray) -> np.ndarray:
         terms = x[_LEFT, block]
         terms *= x[_RIGHT, block]
         terms *= _SIGN
-        sums = terms.sum(axis=0)  # (20, 3, n)
+        sums = np.add.reduce(terms, 0)  # (20, 3, n)
         half_a, half_c, b_re, b_im = sums[:8:2] + sums[1:8:2]
-        det = (sums[8:] * sums[8:]).sum(axis=0)
+        det = np.add.reduce(sums[8:] * sums[8:], 0)
         top, small = out[:, :, block]
         np.minimum(half_a + half_c + np.hypot(half_a - half_c, np.hypot(b_re, b_im)), 1.0, out=top)
         np.minimum(det / top, top, out=small)

@@ -8,12 +8,14 @@ Amplitude ordering follows the basis convention in :mod:`ghzw.qcore`.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcore
+from .qcore import _frozen
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -21,6 +23,7 @@ SQRT5 = np.sqrt(5.0)
 
 #: basis indices of the five-term generalized Schmidt support
 ACIN_SUPPORT = (0, 1, 2, 4, 7)
+_SUPPORT = _frozen(np.array(ACIN_SUPPORT))
 
 NORM_TOL = 1e-12  # slack of a ket's norm^2 and of mixture weights' sum
 DM_TOL = 1e-10  # slack of a density matrix's trace and lowest eigenvalue
@@ -43,12 +46,13 @@ class AcinParams:
     alpha: float = 0.0
 
     def __post_init__(self):
-        lams = self.lambdas
-        if not np.isfinite(lams).all() or not np.isfinite(self.alpha):
+        # on the scalars, not an array: numpy's sum of five squares also adds them left to right
+        l0, l1, l2, l3, l4 = lams = (self.lambda0, self.lambda1, self.lambda2, self.lambda3, self.lambda4)
+        if not all(map(math.isfinite, lams)) or not math.isfinite(self.alpha):
             raise ValueError("AcinParams entries must be finite")
-        if (lams < 0).any():
+        if min(lams) < 0:
             raise ValueError("lambda_i must be nonnegative")
-        if abs((lams**2).sum() - 1.0) > _ACIN_NORM_TOL:
+        if abs(l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3 + l4 * l4 - 1.0) > _ACIN_NORM_TOL:
             raise ValueError(f"sum of lambda_i^2 must equal 1 within {_ACIN_NORM_TOL}")
         if not (0.0 <= self.alpha <= np.pi):
             raise ValueError("alpha must lie in [0, pi]")
@@ -75,10 +79,10 @@ def check_kets(kets) -> np.ndarray:
     kets = np.asarray(kets, dtype=complex)
     if kets.ndim != 2 or kets.shape[1] != 8:
         raise ValueError(f"kets must hold 8 amplitudes each, got shape {kets.shape}")
-    if not np.isfinite(kets).all():
+    if not np.logical_and.reduce(np.isfinite(kets), None):
         raise ValueError("ket amplitudes must be finite")
-    norm_sq = (kets * kets.conj()).real.sum(axis=1)
-    if (np.abs(norm_sq - 1.0) > NORM_TOL).any():
+    norm_sq = np.add.reduce((kets * kets.conj()).real, 1)
+    if np.logical_or.reduce(np.abs(norm_sq - 1.0) > NORM_TOL):
         raise ValueError(f"state norm^2 deviates from 1 by more than {NORM_TOL}")
     return kets
 
@@ -93,11 +97,11 @@ def check_density_matrix(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (8, 8):
         raise ValueError(f"operator must be 8x8, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
+    if not np.logical_and.reduce(np.isfinite(rho), None):
         raise ValueError("operator entries must be finite")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    if np.maximum.reduce(np.abs(rho - rho.conj().T), None) > HERMITICITY_TOL:
         raise ValueError(f"density matrix is not Hermitian within {HERMITICITY_TOL}")
-    if abs(np.trace(rho).real - 1.0) > DM_TOL:
+    if abs(rho.trace().real - 1.0) > DM_TOL:
         raise ValueError(f"density matrix trace deviates from 1 by more than {DM_TOL}")
     if np.linalg.eigvalsh(qcore._hermitian_part(rho))[0] < -DM_TOL:
         raise ValueError(f"density matrix has an eigenvalue below {-DM_TOL}")
@@ -132,7 +136,7 @@ def _acin_kets(lams, alpha) -> np.ndarray:
     """Five-term kets (..., 8) from lambdas (..., 5) and alphas (...), the phase e^{i alpha} on |001>."""
     lams = np.asarray(lams, dtype=float)
     psi = np.zeros(lams.shape[:-1] + (8,), dtype=complex)
-    psi[..., ACIN_SUPPORT] = lams
+    psi[..., _SUPPORT] = lams
     psi[..., 1] *= np.exp(1j * np.asarray(alpha))
     return psi
 

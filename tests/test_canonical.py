@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from test_root_search import planted_states
 from unitaries import haar_unitary
 
@@ -339,3 +340,22 @@ def test_reader_never_picks_alpha_beyond_pi():
     result = canonical._read(psi, frames, amps)
     assert result.params.alpha <= np.pi
     assert np.max(np.abs(result.params.lambdas - found.params.lambdas)) <= 1e-12
+
+
+# every float, with +-0, subnormals, +-inf and NaN drawn often
+_EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan]), st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=arrays(np.float64, st.tuples(st.integers(0, 6), st.just(3)), elements=_EDGE_FLOATS),
+    cube=arrays(np.float64, st.integers(1, 4).map(lambda k: (k, k, 3)), elements=_EDGE_FLOATS),
+    kets=arrays(np.complex128, st.tuples(st.integers(0, 4), st.just(8)), elements=st.complex_numbers()),
+)
+def test_norms_are_numpy_norms_bit_for_bit(rows, cube, kets):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for keepdims in (False, True):
+            got, want = canonical._norms(rows, 1, keepdims), np.linalg.norm(rows, axis=1, keepdims=keepdims)
+            assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(canonical._norms(cube, 2), np.linalg.norm(cube, axis=2), equal_nan=True)
+        assert np.array_equal(canonical._norms(kets, 1), np.linalg.norm(kets, axis=1), equal_nan=True)

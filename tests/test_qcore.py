@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import ghzw
 from ghzw import qcore, states, witness
 
 
@@ -162,3 +166,16 @@ def test_batches_equal_single_kets_bit_for_bit():
         assert qcore._reduced_spectra(kets[:n]).tobytes() == singles[:n].tobytes()
     # a strided view of a batch reads the same as its copy
     assert qcore._reduced_spectra(kets[:200:3]).tobytes() == singles[::3].tobytes()
+
+
+def test_module_arrays_are_read_only():
+    """Module constants are shared by every call, so none may be written in place."""
+    seen = set()
+    for info in pkgutil.iter_modules(ghzw.__path__):
+        module = importlib.import_module(f"ghzw.{info.name}")
+        for name, value in vars(module).items():
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    seen.add(f"{info.name}.{name}")
+                    assert not item.flags.writeable, f"ghzw.{info.name}.{name} is writeable"
+    assert {"canonical._SEEDS", "canonical._RETRY_SEEDS", "qcore._SOLO_INDEX", "criterion._SHIFT"} <= seen

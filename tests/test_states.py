@@ -51,6 +51,39 @@ def test_acin_params_validation():
             states.AcinParams(**{"lambda0": 1.0, "lambda1": 0.0, "lambda2": 0.0, "lambda3": 0.0, "lambda4": 0.0, **bad})
 
 
+_NORM_TOL = states._ACIN_NORM_TOL
+_FINITE = "AcinParams entries must be finite"
+_SQUARES = f"sum of lambda_i^2 must equal 1 within {_NORM_TOL}"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"lambda3": np.nan}, _FINITE),
+        ({"lambda4": -np.inf}, _FINITE),
+        ({"alpha": np.nan}, _FINITE),
+        ({"alpha": np.inf}, _FINITE),
+        ({"lambda2": -0.0}, None),
+        ({"lambda2": -1e-300}, "lambda_i must be nonnegative"),
+        ({"lambda0": np.sqrt(1.0 + 0.9 * _NORM_TOL)}, None),
+        ({"lambda0": np.sqrt(1.0 - 0.9 * _NORM_TOL)}, None),
+        ({"lambda0": np.sqrt(1.0 + 1.1 * _NORM_TOL)}, _SQUARES),
+        ({"lambda0": np.sqrt(1.0 - 1.1 * _NORM_TOL)}, _SQUARES),
+        ({"alpha": np.pi}, None),
+        ({"alpha": np.nextafter(np.pi, 4.0)}, "alpha must lie in [0, pi]"),
+        ({"lambda0": np.float64(0.6), "lambda4": np.float64(0.8), "alpha": np.float64(1.0)}, None),
+    ],
+)
+def test_acin_params_boundaries(fields, message):
+    kwargs = {"lambda0": 1.0, "lambda1": 0.0, "lambda2": 0.0, "lambda3": 0.0, "lambda4": 0.0, **fields}
+    if message is None:
+        assert states.AcinParams(**kwargs).lambdas.tolist() == [kwargs[f"lambda{i}"] for i in range(5)]
+    else:
+        with pytest.raises(ValueError) as raised:
+            states.AcinParams(**kwargs)
+        assert str(raised.value) == message
+
+
 def test_xi_properties():
     xi = states.make_xi()
     assert abs(np.vdot(xi, xi).real - 1.0) < 1e-15
