@@ -44,13 +44,14 @@ as built and are accounted.  Two s_i that nearly meet are one in a turned
 basis of their plane, where one axis is a pole (:func:`_root_seeds`).  A
 kink circle (D of rank one, d in its range) and an exact pole plane (two
 equal s_i, their (g_i, e_i) 0) are read in closed form (:func:`_kink_points`,
-:func:`_ring_seeds`).  Elsewhere four stages run, each only where the one
+:func:`_ring_seeds`).  Elsewhere three stages run, each only where the one
 before fails: Newton from the accounted points alone, where each must reach
 a point of its own and, with the zeros of det T1 (one where the root is
 double), pass the index count (a pole point that reaches a zero or an
 accounted root's point is that point, and a lower-branch row left creeping
 onto a double zero stands for it); from every root, the pole points and the
-zeros; from _SEEDS; from _RETRY_SEEDS.
+zeros, under the same count; from the seed set (:func:`_seeds`), which
+always stands.
 
 A generic state admits four such decompositions; the returned one is
 the representative with alpha in [0, pi], largest l0, then smallest
@@ -205,7 +206,7 @@ def _newton(form, n: np.ndarray, sgn: np.ndarray):
 
 
 def _det_zeros(tens: np.ndarray):
-    """Bloch vectors where det(v0 A0 + v1 A1) = 0, and whether the root is double.
+    """Bloch vectors where det(v0 A0 + v1 A1) = 0.
 
     det is the binary quadratic qa v0^2 + qb v0 v1 + qc v1^2, whose
     discriminant is Cayley's hyperdeterminant (the three-tangle is 4|disc|).
@@ -229,7 +230,7 @@ def _det_zeros(tens: np.ndarray):
     if double and len(bloch):
         gap = bloch[0] - bloch[-1]  # numpy's 1-d norm is sqrt(dot), which may round unlike a sum of squares
         bloch = bloch[:1] if np.sqrt(gap.dot(gap)) <= _SAME_ROOT else bloch
-    return bloch, double
+    return bloch
 
 
 def _fibonacci(n: int) -> np.ndarray:
@@ -240,29 +241,30 @@ def _fibonacci(n: int) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-# seed sets: Fibonacci points, then cone-ring scales and directions
-_SEEDS = (_frozen(_fibonacci(64)), 4, 12)
-_RETRY_SEEDS = (_frozen(_fibonacci(512)), 8, 24)
+# a union, not one spiral: 512 or 1024 points alone move picks beside the strata to a smaller l0; no 4-scale rings, a raise
+_SEEDS = _frozen(np.concatenate([_fibonacci(64), _fibonacci(512)]))
+_RING_SCALES = _frozen(np.sort(np.concatenate([np.geomspace(0.1, 1e-4, 4)[1:3], np.geomspace(0.1, 1e-4, 8)]))[::-1])
+_RING_DIRS = 24
 
 
-def _seeds(form, fibonacci: np.ndarray, n_scales: int, n_dirs: int) -> np.ndarray:
-    """The Fibonacci points plus rings around the cone direction n*/|n*|.
+def _seeds(form) -> np.ndarray:
+    """_SEEDS plus rings around the cone direction n*/|n*|, at _RING_SCALES by _RING_DIRS directions.
 
     n* = -D^{-1} d is where the branches touch.  When it lies near the
     sphere, roots of both branches crowd beside it, closer than a uniform
     seed set resolves.
     """
     _, d, dm = form
-    seeds = [fibonacci]
+    seeds = [_SEEDS]
     # a singular D has no single cone point, and n* = 0 no direction
     m = -np.linalg.solve(dm, d) if abs(np.linalg.det(dm)) > _SINGULAR_D else np.zeros(3)
     size = np.sqrt(m.dot(m))
     if size > 0.0:
         m /= size
         b1, b2 = np.linalg.svd(m[None])[2][1:]  # an orthonormal pair orthogonal to m
-        phi = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
+        phi = 2.0 * np.pi * np.arange(_RING_DIRS) / _RING_DIRS
         ring = np.outer(np.cos(phi), b1) + np.outer(np.sin(phi), b2)
-        pts = (m + np.geomspace(0.1, 1e-4, n_scales)[:, None, None] * ring).reshape(-1, 3)
+        pts = (m + _RING_SCALES[:, None, None] * ring).reshape(-1, 3)
         seeds.append(pts / _norms(pts, 1, True))
     return np.concatenate(seeds)
 
@@ -431,7 +433,7 @@ def _critical_points(tens: np.ndarray):
     Elsewhere the zeros come first, as lower-branch minima (index +1); every
     other point carries the sign of its tangent-Hessian determinant, 0 where
     that is singular, and by Poincare-Hopf each branch sums to 2 where none
-    is.  Four stages run in turn until one stands.  The accounted roots of
+    is.  Three stages run in turn until one stands.  The accounted roots of
     G12 and pole points (:func:`_root_seeds`), each on its own branch, stand
     where each root converges to a point of its own, none a zero, and the
     sums hold with no singular Hessian (a pole point that Newton brings within
@@ -440,32 +442,31 @@ def _critical_points(tens: np.ndarray):
     roots and pole points, with the zeros on both branches, where the sums
     hold so.  Newton creeps onto a double zero only linearly: a lower-branch
     seed of a root stage, or accounted row left unconverged, within _DOUBLE_ZERO
-    of it stands for it.  The Fibonacci and cone-ring seeds of _SEEDS, with
-    the zeros, on both branches, also stand where no sum can hold (a
-    singular Hessian or a double root); the denser _RETRY_SEEDS always stand.
+    of it stands for it.  The last stage, the Fibonacci and cone-ring seeds of
+    :func:`_seeds` with the zeros, on both branches, always stands.
     """
     form = _bloch_form(tens)
     basis = _eigenbasis(form)
     kink = _kink_points(form, basis)
     if kink is not None:
         return kink
-    zeros, double = _det_zeros(tens)
+    zeros = _det_zeros(tens)
     ring = _ring_seeds(form, basis)
     roots = ring if ring is not None else _root_seeds(form, basis)
-    # None stands for the accounted roots (a ring's points, which stand alone), () for the whole root pass
-    stages = (_SEEDS, _RETRY_SEEDS) if roots is None else (None, (), _SEEDS, _RETRY_SEEDS)
-    for seed_set in (None,) if ring is not None else stages:
-        if seed_set is None:
+    # the last stage stands: a ring's points stand alone
+    stages = ("accounted",) if ring is not None else ("seeds",) if roots is None else ("accounted", "roots", "seeds")
+    for stage in stages:
+        if stage == "accounted":
             seeds, sgn, pole = roots[0][roots[2]], roots[1][roots[2]], roots[3][roots[2]]
-        elif seed_set:
-            seeds = np.concatenate([zeros, _seeds(form, *seed_set)])
+        elif stage == "seeds":
+            seeds = np.concatenate([zeros, _seeds(form)])
             sgn = np.repeat([1.0, -1.0], len(seeds))
             seeds = np.concatenate([seeds, seeds])
         else:
             seeds = np.concatenate([zeros, zeros, roots[0]])
             sgn = np.concatenate([np.repeat([1.0, -1.0], len(zeros)), roots[1]])
             pole = np.concatenate([np.zeros(2 * len(zeros), dtype=bool), roots[3]])
-        if len(zeros) == 1 and ring is None and not seed_set:  # a double zero, which Newton reaches slowly
+        if len(zeros) == 1 and ring is None and stage != "seeds":  # a double zero, which Newton reaches slowly
             far = (sgn > 0.0) | (_norms(seeds - zeros, 1) > _DOUBLE_ZERO)
             seeds, sgn, pole = seeds[far], sgn[far], pole[far]
         n, last, index = _newton(form, seeds, sgn)
@@ -474,7 +475,7 @@ def _critical_points(tens: np.ndarray):
             stay = _norms(n - seeds, 1) <= _ROOT_TOL
             n, index, found = np.where(stay[:, None], n, seeds), np.where(stay, index, 0.0), np.ones_like(stay)
         settled = found  # rows that reached a point, or that a counted point holds
-        if seed_set is None and (len(zeros) == 1 and ring is None or np.count_nonzero(pole)):
+        if stage == "accounted" and (len(zeros) == 1 and ring is None or np.count_nonzero(pole)):
             # rows a counted point holds: pole points at a zero or a root's point, rows creeping onto a double zero
             dist = _norms(n[:, None] - np.concatenate([zeros, n[~pole]])[None], 2)
             same = np.concatenate([-_ONES[: len(zeros)], sgn[~pole]]) == sgn[:, None]
@@ -502,10 +503,8 @@ def _critical_points(tens: np.ndarray):
         counted = np.add.reduce(index[branch == 0]) == 2 and np.add.reduce(index[branch == 1]) == 2
         # the accounted roots count only where each reaches a point of its own
         own = np.logical_and.reduce(settled) and len(n) == len(zeros) + np.count_nonzero(found)
-        counted &= seed_set is not None or own
-        singular = np.logical_or.reduce(index == 0)
-        # a seed set also stands where no count can hold
-        if counted and not singular or seed_set and (double or singular):
+        counted &= stage != "accounted" or own
+        if counted and not np.logical_or.reduce(index == 0):
             break
     return n, branch, index, None
 

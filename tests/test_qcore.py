@@ -178,4 +178,4 @@ def test_module_arrays_are_read_only():
                 if isinstance(item, np.ndarray):
                     seen.add(f"{info.name}.{name}")
                     assert not item.flags.writeable, f"ghzw.{info.name}.{name} is writeable"
-    assert {"canonical._SEEDS", "canonical._RETRY_SEEDS", "qcore._SOLO_INDEX", "criterion._SHIFT"} <= seen
+    assert {"canonical._SEEDS", "canonical._RING_SCALES", "qcore._SOLO_INDEX", "criterion._SHIFT"} <= seen

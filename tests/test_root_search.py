@@ -194,7 +194,7 @@ def _assert_same_step(new, ref):
 
 
 def test_basis_free_step_is_the_tangent_basis_step(monkeypatch):
-    points = np.concatenate([canonical._RETRY_SEEDS[0], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    points = np.concatenate([canonical._SEEDS, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
     sgn = np.repeat([1.0, -1.0], len(points))
     points = np.concatenate([points, points])
     for seed in [*range(50), 116, 642, 866]:
@@ -220,7 +220,7 @@ def test_w_ring_points_take_the_pseudo_inverse_step(monkeypatch):
             assert np.all(index == 0.0)
             assert np.max(length) <= 1e-8
             assert np.max(np.linalg.norm(n - ring, axis=1)) <= 1e-12
-    points = canonical._RETRY_SEEDS[0]
+    points = canonical._SEEDS
     sgn = np.repeat([1.0, -1.0], len(points))
     points = np.concatenate([points, points])
     _assert_same_step(_one_step(monkeypatch, form, points, sgn), _reference_step(form, points, sgn))
@@ -230,10 +230,10 @@ def test_w_ring_points_take_the_pseudo_inverse_step(monkeypatch):
 def test_seed_rings_are_orthonormal_to_the_cone_direction(m):
     m = np.array(m)
     dm = np.array([[0.3, 0.1, -0.2], [0.0, -0.4, 0.1], [0.2, 0.05, 0.25]])
-    fibonacci, n_scales, n_dirs = canonical._SEEDS
-    seeds = canonical._seeds((None, -dm @ (0.7 * m), dm), fibonacci, n_scales, n_dirs)
-    rings = seeds[len(fibonacci) :].reshape(n_scales, n_dirs, 3)
-    scales = np.geomspace(0.1, 1e-4, n_scales)
+    scales, n_dirs = canonical._RING_SCALES, canonical._RING_DIRS
+    seeds = canonical._seeds((None, -dm @ (0.7 * m), dm))
+    assert np.array_equal(seeds[: len(canonical._SEEDS)], canonical._SEEDS)
+    rings = seeds[len(canonical._SEEDS) :].reshape(len(scales), n_dirs, 3)
     stretch = np.sqrt(1.0 + scales * scales)[:, None, None]
     # each seed is (m + t u) / sqrt(1 + t^2) for u = cos(phi) b1 + sin(phi) b2
     u = (rings * stretch - m) / scales[:, None, None]
@@ -263,18 +263,17 @@ def _root_pass(monkeypatch, tens):
 
 
 def _dense_search(monkeypatch, tens):
-    """The critical points of a _RETRY_SEEDS search, with no kink circle, ring or root pass."""
+    """The critical points of the seed set alone, with no kink circle, ring or root pass."""
     with monkeypatch.context() as m:
         m.setattr(canonical, "_kink_points", lambda form, basis: None)
         m.setattr(canonical, "_ring_seeds", lambda form, basis: None)
         m.setattr(canonical, "_root_seeds", lambda form, basis: None)
-        m.setattr(canonical, "_SEEDS", canonical._RETRY_SEEDS)
         return canonical._critical_points(tens)[:3]
 
 
 def test_root_pass_finds_what_the_dense_search_finds(monkeypatch):
-    # 587, 707, 2020 and 2114 are the Haar seeds of 0-2999 on which the
-    # _SEEDS pass fails the count and the retry is needed
+    # 587, 707, 2020 and 2114 are the Haar seeds of 0-2999 on which 64
+    # Fibonacci points and their 4-scale rings alone fail the count
     stood = []
     for seed in [*range(200), 587, 707, 2020, 2114]:
         tens = states.haar_random_pure(seed).reshape(2, 2, 2)
@@ -312,7 +311,7 @@ def test_a_lost_root_fails_the_count_and_the_seed_sets_take_over(monkeypatch):
     psi = states.haar_random_pure(0)
     tens = psi.reshape(2, 2, 2)
     form = canonical._bloch_form(tens)
-    zeros, _ = canonical._det_zeros(tens)
+    zeros = canonical._det_zeros(tens)
     roots, signs, *_ = _root_seeds(form)
     # the root pass's Newton: the zeros on both branches, then the roots
     sgn = np.concatenate([np.repeat([1.0, -1.0], len(zeros)), signs])
@@ -332,7 +331,7 @@ def test_a_lost_root_fails_the_count_and_the_seed_sets_take_over(monkeypatch):
     assert _root_pass(monkeypatch, tens) is None
     calls = _count_seed_sets(monkeypatch)
     moved = canonical.acin_decompose(psi).params
-    assert calls[0][0] is canonical._SEEDS[0]
+    assert len(calls) == 1
     assert np.max(np.abs(moved.lambdas - base.lambdas)) <= 1e-12
     assert abs(moved.alpha - base.alpha) <= 1e-11
 
@@ -345,9 +344,9 @@ def _count_newton(monkeypatch):
 
 
 def _count_seed_sets(monkeypatch):
-    """A list that gets the seed set (Fibonacci points, scales, directions) of every _seeds call."""
-    seed_sets, calls = canonical._seeds, []
-    monkeypatch.setattr(canonical, "_seeds", lambda form, *seed_set: calls.append(seed_set) or seed_sets(form, *seed_set))
+    """A list that gets the form of every _seeds call."""
+    seeds, calls = canonical._seeds, []
+    monkeypatch.setattr(canonical, "_seeds", lambda form: calls.append(form) or seeds(form))
     return calls
 
 
@@ -380,7 +379,7 @@ def test_accounted_roots_reached_twice_fail_the_accounting(monkeypatch):
     # sums still hold, so only the accounting tells
     psi = states.haar_random_pure(0)
     tens = psi.reshape(2, 2, 2)
-    zeros, _ = canonical._det_zeros(tens)
+    zeros = canonical._det_zeros(tens)
     base = canonical.acin_decompose(psi).params
 
     def onto_zeros(form, basis):
@@ -482,7 +481,7 @@ def test_two_pole_planted_states_stand_on_their_accounted_roots(monkeypatch, lam
     for frame_seed in frame_seeds:
         psi = _planted(lams, alpha, frame_seed)
         tens = psi.reshape(2, 2, 2)
-        zeros, _ = canonical._det_zeros(tens)
+        zeros = canonical._det_zeros(tens)
         points, signs, _, pole = _root_seeds(canonical._bloch_form(tens))
         lower = points[pole & (signs < 0)]
         assert np.linalg.norm(lower[:, None] - zeros[None], axis=2).min(axis=0).max() <= canonical._SAME_ROOT
@@ -506,12 +505,12 @@ def test_a_seed_beside_a_double_zero_creeps_onto_it():
     # the draw above: its seed 1.16e-2 from the double zero ends unconverged within _DOUBLE_ZERO
     tens = _planted((0.68, 0.47, 0.51, 0.91, 0.0), 1.96, 7).reshape(2, 2, 2)
     form = canonical._bloch_form(tens)
-    zeros, double = canonical._det_zeros(tens)
+    zeros = canonical._det_zeros(tens)
     points, signs, accounted, _ = _root_seeds(form)
     lower = points[accounted & (signs < 0)]
     dist = np.linalg.norm(lower - zeros, axis=1)
     beside = np.flatnonzero((dist > canonical._DOUBLE_ZERO) & (dist < 1.2e-2))
-    assert double and len(zeros) == 1 and len(beside) == 1
+    assert len(zeros) == 1 and len(beside) == 1
     n, last, _ = canonical._newton(form, lower[beside], -np.ones(1))
     assert last[0] > canonical._ROOT_TOL
     assert np.linalg.norm(n[0] - zeros[0]) <= canonical._DOUBLE_ZERO
@@ -631,10 +630,11 @@ def test_a_degenerate_axis_point_reads_the_same_in_every_frame(lams):
 # biseparable: its pole plane is exact within _EXACT, but a = g_k^2 and the
 # ring quadratic vanishes, so its lower branch is flat.  Ket 203's pair of
 # eigenvalues and its (g_P, e_P) sit at about 5e-12 and 8e-12 of their scales,
-# a ring broken above _EXACT.  Both keep the seed sets: without the flat
-# guard ket 55 raises DecompositionError, and with a 1e-10 plane gate ket 203
-@pytest.mark.parametrize("ket, seed_sets", [(55, [canonical._SEEDS]), (203, [canonical._SEEDS, canonical._RETRY_SEEDS])])
-def test_a_flat_branch_and_a_broken_ring_keep_the_seed_sets(monkeypatch, ket, seed_sets):
+# a ring broken above _EXACT.  Both stand on the seed set, in one call:
+# without the flat guard ket 55 raises DecompositionError, and with a 1e-10
+# plane gate ket 203
+@pytest.mark.parametrize("ket", [55, 203])
+def test_a_flat_branch_and_a_broken_ring_keep_the_seed_sets(monkeypatch, ket):
     psi = near_stratum_kets(ket + 1)[ket]
     form = canonical._bloch_form(psi.reshape(2, 2, 2))
     basis = canonical._eigenbasis(form)
@@ -644,7 +644,7 @@ def test_a_flat_branch_and_a_broken_ring_keep_the_seed_sets(monkeypatch, ket, se
     assert canonical._ring_seeds(form, basis) is None
     calls = _count_seed_sets(monkeypatch)
     result = canonical.acin_decompose(psi)
-    assert [c[0] for c in calls] == [c[0] for c in seed_sets]
+    assert len(calls) == 1
     assert result.residual <= canonical.RESIDUAL_TOL
 
 
@@ -714,8 +714,8 @@ def test_a_double_root_stands_on_its_accounted_roots(monkeypatch):
     psi = _planted((0.7, 0.3, 0.5, 0.4, 0.0), 1.0, 0)
     tens = psi.reshape(2, 2, 2)
     form = canonical._bloch_form(tens)
-    zeros, double = canonical._det_zeros(tens)
-    assert double and len(zeros) == 1
+    zeros = canonical._det_zeros(tens)
+    assert len(zeros) == 1
     assert canonical._ring_seeds(form, canonical._eigenbasis(form)) is None
     n, branch, _ = _dense_search(monkeypatch, tens)
     dense = canonical._read(psi, *canonical._critical_frames(psi, n, branch)).params
@@ -724,6 +724,27 @@ def test_a_double_root_stands_on_its_accounted_roots(monkeypatch):
     assert seed_sets == [] and len(newton) == 1
     assert np.max(np.abs(params.lambdas - dense.lambdas)) <= 1e-12
     assert abs(params.alpha - dense.alpha) <= 1e-11
+
+
+# (1/2, 1/2, 1/2, 1/2, 0) is W-class, and l0 = 1/2 and 1/sqrt(2) both
+# certify: 1/sqrt(2) comes first.  Its point is degenerate (index 0), so no
+# root stage counts and the seed set stands; 64 Fibonacci points and their
+# rings alone missed it in frames 0, 1, 4 and 6.  Newton stops within about
+# 1e-5 of it, where l0 falls short by up to 3e-10, and _read ties l0 within
+# _TIE_TOL, so a pick reads up to about 1.2e-9 short
+def test_equal_lambdas_beside_l4_0_read_the_larger_l0_in_every_frame():
+    psi = _acin((0.5, 0.5, 0.5, 0.5, 0.0), 0.0)
+    for frame_seed in range(8):
+        params = canonical.acin_decompose(_in_frame(psi, frame_seed)).params
+        assert abs(params.lambda0 - np.sqrt(0.5)) <= 1e-8, frame_seed
+
+
+# kets 2283 and 39 of the near-stratum panel stand on the seed set; the 64
+# Fibonacci points and their rings alone read l0 = 1.0e-7 and 0.77614 there.
+# Ket 2283 is still short of the l0 = 0.8596 that Newton reaches with 200 steps
+@pytest.mark.parametrize("ket, lambda0", [(2283, 0.85369), (39, 0.81931)])
+def test_near_stratum_kets_read_the_larger_l0_of_the_seed_set(ket, lambda0):
+    assert canonical.acin_decompose(near_stratum_kets(ket + 1)[ket]).params.lambda0 >= lambda0
 
 
 # kets 612 and 1557 of the near-stratum panel (near_strata.py): the quadratic
@@ -741,8 +762,9 @@ _VANISHING_QUADRATIC_PICKS = {
 @pytest.mark.parametrize("ket", list(_VANISHING_QUADRATIC_PICKS))
 def test_a_vanishing_quadratic_keeps_its_two_zeros(ket):
     psi = near_stratum_kets(ket + 1)[ket]
-    zeros, double = canonical._det_zeros(psi.reshape(2, 2, 2))
-    assert double and len(zeros) == 2 and np.linalg.norm(zeros[0] - zeros[1]) > canonical._SAME_ROOT
+    assert classify.three_tangle(psi) <= canonical._TANGLE_EPS
+    zeros = canonical._det_zeros(psi.reshape(2, 2, 2))
+    assert len(zeros) == 2 and np.linalg.norm(zeros[0] - zeros[1]) > canonical._SAME_ROOT
     lambdas, alpha = _VANISHING_QUADRATIC_PICKS[ket]
     params = canonical.acin_decompose(psi).params
     assert np.max(np.abs(params.lambdas - lambdas)) <= 1e-12
@@ -777,8 +799,8 @@ def test_the_near_stratum_panel_holds_ket_109():
 # DecompositionError: a change may take kets out of this set, and then
 # shrinks it, but none may join it
 _NEAR_STRATUM_RAISES = {
-    3, 5, 12, 45, 59, 60, 68, 94, 98, 106,
-    123, 143, 171, 196, 199, 215, 224, 280, 290,
+    3, 5, 12, 45, 59, 60, 68, 98, 106,
+    123, 143, 171, 196, 199, 215, 280, 290,
 }
 
 
