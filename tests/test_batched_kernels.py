@@ -129,10 +129,12 @@ def test_scan_squares_as_the_scalar_closed_form():
 @given(seed=st.integers(0, 2**31), n_components=st.integers(1, 6))
 def test_window_mixtures_equal_one_ket_at_a_time(seed, n_components):
     # the draw order of sample_unwitnessed_mixtures, mixed as states.mix
-    # mixed before it took batches
+    # mixed before it took batches: weights are the spacings of sorted
+    # uniform cuts, drawn first
     rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.random(n_components - 1))
     components = []
-    for weight in scanner._simplex_weights(rng, n_components):
+    for weight in np.diff(np.concatenate([[0.0], cuts, [1.0]])):
         a_sq = rng.uniform(1.0 / 3.0, 0.5)
         phi, gamma, beta, rel = rng.uniform(0.0, 2.0 * np.pi, size=4)
         cfg = scanner.ScanConfig(phase_phi=phi, phase_gamma=gamma, phase_beta=beta, rel_phase_ab=rel)
@@ -211,6 +213,32 @@ def test_mixed_w_kernel_matches_the_scalar_reference(rhos):
         assert (verdict.w_min, verdict.w_opt_gamma, verdict.w_opt_beta) == (value, gamma, beta)
 
 
+@settings(max_examples=80, deadline=None)
+@given(rhos=density_batches())
+def test_w_floor_and_ceiling_bracket_the_mixed_w_minimum(rhos):
+    floor, ceiling = scanner._w_bounds(rhos)
+    value = criterion._w_min(rhos)[0]
+    assert np.all(floor <= value + 1e-15) and np.all(ceiling >= value - 1e-15)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 20), phases=st.tuples(*[st.floats(0.0, 2.0 * np.pi)] * 2))
+def test_w_floor_meets_the_minimum_on_rank_one_window_states_and_w(seed, n, phases):
+    # the tie that _W_FLOOR_SLACK must cover: a mixture of one window ket
+    w_family = qcore.outer(states.make_w(*phases))[None]
+    rhos = np.concatenate([scanner._window_mixtures(range(seed, seed + n), 1), w_family])
+    assert np.abs(scanner._w_bounds(rhos)[0] - criterion._w_min(rhos)[0]).max() <= 1e-15
+
+
+@settings(max_examples=80, deadline=None)
+@given(rhos=density_batches(), data=st.data())
+def test_mixed_w_rows_do_not_depend_on_their_batch(rhos, data):
+    # sample_unwitnessed_mixtures solves a subset of each block's rows
+    idx = sorted(data.draw(st.sets(st.integers(0, len(rhos) - 1), min_size=1)))
+    for part, whole in zip(criterion._w_min(rhos[idx]), criterion._w_min(rhos)):
+        assert np.array_equal(part, whole[idx])
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**31), n_mixtures=st.integers(1, 30), n_components=st.integers(1, 5))
 def test_mixture_report_equals_a_loop_of_single_calls(seed, n_mixtures, n_components):
@@ -229,6 +257,12 @@ def test_mixture_report_equals_a_loop_of_single_calls(seed, n_mixtures, n_compon
         worst_mixture_index=int(np.argmin(np.minimum(ghz_min, w_min))),
     )
     assert scanner.sample_unwitnessed_mixtures(cfg, n_mixtures, n_components) == expected
+
+
+def test_mixture_report_equals_a_loop_of_single_calls_across_blocks(monkeypatch):
+    # blocks of 4: each block prunes its W solve against its own least ceiling
+    monkeypatch.setattr(scanner, "_MIXTURE_BLOCK", 4)
+    test_mixture_report_equals_a_loop_of_single_calls()
 
 
 def _w_sector_density(m01, m02, m12):

@@ -101,6 +101,14 @@ def test_mixture_report_small_run():
     assert 0 <= report.worst_mixture_index < 25
 
 
+def test_criterion_6_run_solves_few_w_minima(monkeypatch):
+    # the W floor certifies all but the mixtures near the least W minimum
+    solved, w_min = [], criterion._w_min
+    monkeypatch.setattr(criterion, "_w_min", lambda rhos: solved.append(len(rhos)) or w_min(rhos))
+    scanner.sample_unwitnessed_mixtures(scanner.ScanConfig(seed=42), 500, 4)
+    assert sum(solved) <= 8
+
+
 def test_mixture_outside_window_is_detected():
     # precondition matters: a weight-1 component at a_sq = 0.9 is detected
     rho = states.mix([(1.0, scanner.family_state(0.9, scanner.ScanConfig()))])
